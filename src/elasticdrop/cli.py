@@ -14,6 +14,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import statistics
 import sys
 from dataclasses import dataclass, replace
@@ -219,16 +220,33 @@ def cmd_train(args) -> int:
 
 
 def _load_embedding_csv(path) -> QuerySet:
-    """CSV rows: id, camera, then the descriptor floats (header optional)."""
+    """CSV rows: id, camera, then the descriptor floats (header optional).
+
+    Every row must carry the same number of finite floats.
+    """
+    try:
+        text = Path(path).read_text().strip().splitlines()
+    except FileNotFoundError as exc:
+        raise ConfigError(f"embedding csv not found: {path}") from exc
     ids, cameras, rows = [], [], []
-    text = Path(path).read_text().strip().splitlines()
-    for line in text:
+    for lineno, line in enumerate(text, start=1):
         parts = [p.strip() for p in line.split(",")]
         if parts[0] == "id":
             continue
-        ids.append(int(parts[0]))
-        cameras.append(int(parts[1]))
-        rows.append([float(x) for x in parts[2:]])
+        try:
+            ids.append(int(parts[0]))
+            cameras.append(int(parts[1]))
+            rows.append([float(x) for x in parts[2:]])
+        except (ValueError, IndexError) as exc:
+            raise ConfigError(
+                f"bad embedding row in {path} line {lineno}: {exc}") from exc
+        if len(rows[-1]) != len(rows[0]):
+            raise ConfigError(
+                f"{path} line {lineno} has {len(rows[-1])} descriptor values, "
+                f"the first row {len(rows[0])}")
+        if not all(map(math.isfinite, rows[-1])):
+            raise ConfigError(
+                f"non-finite descriptor value in {path} line {lineno}")
     if not rows:
         raise ConfigError(f"no descriptor rows in {path}")
     return QuerySet(descriptors=np.asarray(rows), ids=np.asarray(ids),

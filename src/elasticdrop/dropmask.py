@@ -52,12 +52,22 @@ class RowPartition:
 
 # --- drop strategy kinds -------------------------------------------------
 #
-# rate parameters live in [0, 1); block extents must fit inside the map.
+# Parameters are checked on construction: dropout rates lie in [0, 1), a
+# block's sides and a schedule's patch counts are positive. Whether a block
+# or patch fits a given map is checked where the map size is known.
+
+def _check_rate(rate: float) -> None:
+    if not 0.0 <= rate < 1.0:
+        raise ConfigError(f"drop rate must lie in [0, 1), got {rate}")
+
 
 @dataclass(frozen=True)
 class ElementDropout:
     """Independent Bernoulli drop per cell and channel, rescaled by 1/(1-rate)."""
     rate: float
+
+    def __post_init__(self):
+        _check_rate(self.rate)
 
 
 @dataclass(frozen=True)
@@ -65,11 +75,17 @@ class SpatialDropout:
     """Whole channels dropped independently per sample."""
     rate: float
 
+    def __post_init__(self):
+        _check_rate(self.rate)
+
 
 @dataclass(frozen=True)
 class BatchDropout:
     """One channel drop pattern shared across the whole batch."""
     rate: float
+
+    def __post_init__(self):
+        _check_rate(self.rate)
 
 
 @dataclass(frozen=True)
@@ -79,11 +95,26 @@ class DropBlock:
     block_w: int
     rate: float = 1.0
 
+    def __post_init__(self):
+        # rate is the per-sample probability of dropping a block; 1.0 = always.
+        if self.block_h < 1 or self.block_w < 1:
+            raise ConfigError(
+                f"DropBlock: block sides must be positive, got "
+                f"{self.block_h}x{self.block_w}")
+        if not 0.0 <= self.rate <= 1.0:
+            raise ConfigError(f"DropBlock: rate must lie in [0, 1], got {self.rate}")
+
 
 @dataclass(frozen=True)
 class BatchDropBlock:
     """One random row band (fraction of the height) zeroed, shared across the batch."""
     rows_fraction: float
+
+    def __post_init__(self):
+        if not 0.0 <= self.rows_fraction < 1.0:
+            raise ConfigError(
+                f"BatchDropBlock: rows_fraction must lie in [0, 1), got "
+                f"{self.rows_fraction}")
 
 
 @dataclass(frozen=True)
@@ -91,12 +122,22 @@ class UniformRowDrop:
     """Consecutive schedule over m equal patches; branch i drops patch i."""
     m: int
 
+    def __post_init__(self):
+        if self.m < 1:
+            raise ConfigError(f"UniformRowDrop: m must be positive, got {self.m}")
+
 
 @dataclass(frozen=True)
 class OverlapRowDrop:
     """Consecutive schedule with patches of patch_h rows overlapping by `overlap`."""
     patch_h: int
     overlap: int
+
+    def __post_init__(self):
+        if not 0 < self.overlap < self.patch_h:
+            raise ConfigError(
+                f"OverlapRowDrop: need 0 < overlap < patch_h, got "
+                f"overlap={self.overlap}, patch_h={self.patch_h}")
 
 
 @dataclass(frozen=True)
@@ -199,11 +240,6 @@ def branch_masks(kind: DropStrategyKind, height: int, width: int) -> list[Array]
     return [drop_patch_mask(part, i, width) for i in range(1, part.branch_count + 1)]
 
 
-def _check_rate(rate: float) -> None:
-    if not 0.0 <= rate < 1.0:
-        raise ConfigError(f"drop rate must lie in [0, 1), got {rate}")
-
-
 def baseline_mask(kind: DropStrategyKind, height: int, width: int, channels: int,
                   rng: np.random.Generator, batch_size: int = 1) -> Array:
     """Draw one batch worth of masks for a randomized dropout strategy.
@@ -219,14 +255,12 @@ def baseline_mask(kind: DropStrategyKind, height: int, width: int, channels: int
     shape = (batch_size, height, width, channels)
 
     if isinstance(kind, ElementDropout):
-        _check_rate(kind.rate)
         if kind.rate == 0.0:
             return np.ones(shape)
         keep = rng.random(shape) >= kind.rate
         return keep.astype(np.float64) / (1.0 - kind.rate)
 
     if isinstance(kind, SpatialDropout):
-        _check_rate(kind.rate)
         keep = np.ones(shape)
         if kind.rate > 0.0:
             chan = rng.random((batch_size, channels)) >= kind.rate
@@ -234,7 +268,6 @@ def baseline_mask(kind: DropStrategyKind, height: int, width: int, channels: int
         return keep
 
     if isinstance(kind, BatchDropout):
-        _check_rate(kind.rate)
         keep = np.ones(shape)
         if kind.rate > 0.0:
             chan = rng.random(channels) >= kind.rate
@@ -242,13 +275,10 @@ def baseline_mask(kind: DropStrategyKind, height: int, width: int, channels: int
         return keep
 
     if isinstance(kind, DropBlock):
-        # rate is the per-sample probability of dropping a block; 1.0 = always.
-        if not (0 < kind.block_h <= height and 0 < kind.block_w <= width):
+        if kind.block_h > height or kind.block_w > width:
             raise ConfigError(
                 f"DropBlock: block {kind.block_h}x{kind.block_w} exceeds map "
                 f"{height}x{width}")
-        if not 0.0 <= kind.rate <= 1.0:
-            raise ConfigError(f"DropBlock: rate must lie in [0, 1], got {kind.rate}")
         masks = np.ones(shape)
         for n in range(batch_size):
             if kind.rate < 1.0 and rng.random() >= kind.rate:
@@ -259,10 +289,6 @@ def baseline_mask(kind: DropStrategyKind, height: int, width: int, channels: int
         return masks
 
     if isinstance(kind, BatchDropBlock):
-        if not 0.0 <= kind.rows_fraction < 1.0:
-            raise ConfigError(
-                f"BatchDropBlock: rows_fraction must lie in [0, 1), got "
-                f"{kind.rows_fraction}")
         masks = np.ones(shape)
         rows = int(round(kind.rows_fraction * height))
         if rows > 0:

@@ -7,13 +7,15 @@ names to their worst relative error so regressions are visible at a glance.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from .elastic_loss import (DescriptorBatch, ElasticParams, batch_elastic_loss,
                            batch_hard_mine, elastic_triplet_loss,
-                           hard_triplet_loss, pairwise_sq_dist)
+                           elastic_weight, hard_triplet_loss, pairwise_sq_dist)
 from .model import ModelConfig, forward_train, init_params
-from .dropmask import UniformRowDrop
+from .dropmask import DropBlock, OverlapRowDrop, UniformRowDrop
 from .numerics import (finite_diff_grad, linear_backward, linear_forward,
                        max_rel_error, softmax_cross_entropy)
 
@@ -126,20 +128,70 @@ def tiny_model_config() -> ModelConfig:
                        epochs=1, seed=0)
 
 
-def check_model_end_to_end(seed=0, trials=10) -> float:
+def model_variants() -> dict[str, ModelConfig]:
+    """The tiny net under every loss, branch and mask path of forward_train.
+
+    Keys are the gradcheck suite names. The dropblock variant draws its
+    (N, H, W, C) masks from a fixed rng and adds the global branch, so the
+    randomized and the shared-trunk paths run in one step.
+    """
+    base = tiny_model_config()
+    return {
+        "model_end_to_end": base,
+        "model_triplet": replace(base, loss="triplet"),
+        "model_detached_weight": replace(base, detach_weight=True),
+        "model_no_resblock": replace(base, use_resblock=False),
+        "model_global_branch": replace(base, use_global_branch=True),
+        "model_overlap": replace(base, drop_scheme=OverlapRowDrop(patch_h=2,
+                                                                  overlap=1)),
+        "model_dropblock": replace(base, branches=1, use_global_branch=True,
+                                   drop_scheme=DropBlock(block_h=2, block_w=1)),
+    }
+
+
+def _mine_branches(out, ids) -> list:
+    return [batch_hard_mine(pairwise_sq_dist(DescriptorBatch(d, ids)), ids)
+            for d in out.branch_descriptors]
+
+
+def _frozen_weight_loss(out, ids, weights, eta: float) -> float:
+    """Training loss with each anchor's elastic weight held at ``weights``.
+
+    The gradient of a detached-weight step is the gradient of this loss.
+    """
+    mined = _mine_branches(out, ids)
+    hinges = sum(
+        float(np.where(h.valid, w * np.maximum(
+            eta + h.max_pos_dist - h.min_neg_dist, 0.0), 0.0).sum())
+        for h, w in zip(mined, weights))
+    return hinges / sum(int(h.valid.sum()) for h in mined) + out.ce_loss
+
+
+def check_model_end_to_end(seed=0, trials=10, config: ModelConfig | None = None
+                           ) -> float:
     """Total training loss gradient w.r.t. every parameter on a tiny net."""
-    config = tiny_model_config()
+    config = config or tiny_model_config()
     worst = 0.0
     rng = np.random.default_rng(seed)
-    for _ in range(trials):
+    for trial in range(trials):
         params = init_params(config, rng)
         images = rng.normal(size=(4, config.height, config.width,
                                   config.in_channels))
         ids = np.array([0, 0, 1, 1])
+
+        def step():
+            # a randomized scheme redraws the same masks on every call
+            return forward_train(images, ids, params, config,
+                                 rng=np.random.default_rng([seed, trial]))
+
         params.zero_grads()
-        forward_train(images, ids, params, config)
+        _, out = step()
         analytic_grads = {name: p.grad.copy()
                           for name, p in params.named().items()}
+        weights = None
+        if config.loss == "elastic" and config.detach_weight:
+            weights = [elastic_weight(h.max_pos_dist, h.min_neg_dist)[1]
+                       for h in _mine_branches(out, ids)]
         for name, p in params.named().items():
             analytic = analytic_grads[name]
 
@@ -147,9 +199,12 @@ def check_model_end_to_end(seed=0, trials=10) -> float:
                 old = p.value
                 p.value = v
                 try:
-                    loss, _ = forward_train(images, ids, params, config)
+                    loss, out = step()
                 finally:
                     p.value = old
+                if weights is not None:
+                    return _frozen_weight_loss(out, ids, weights,
+                                               config.eta)
                 return loss
 
             fd = finite_diff_grad(loss_of, p.value)
@@ -167,7 +222,9 @@ def run_gradient_checks(seed: int = 0, trials: int = 10) -> dict:
         ("elastic", check_elastic(seed, trials, detach=False), LOSS_TOL),
         ("elastic_detached", check_elastic(seed, trials, detach=True), LOSS_TOL),
         ("batch_elastic", check_batch_elastic(seed, trials), LOSS_TOL),
-        ("model_end_to_end", check_model_end_to_end(seed, trials), MODEL_TOL),
+    ] + [
+        (name, check_model_end_to_end(seed, trials, config), MODEL_TOL)
+        for name, config in model_variants().items()
     ]
     report = {
         "seed": seed,

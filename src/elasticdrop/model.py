@@ -2,13 +2,32 @@
 
 Pipeline: a per-cell two-layer encoder lifts each (h, w) cell of the input
 grid to feature space (spatial layout untouched, so masks align with input
-rows); each branch multiplies the feature map by its drop mask, runs one
-shared per-cell residual layer, average-pools over all cells (zeros
-included, no renormalization), and projects to the descriptor space. A
-classifier head shared across branches provides the id logits. The training
-objective is the metric loss over all branch descriptor batches plus the sum
-of per-branch cross entropies; inference is the mask-free path
+rows); each branch zeroes the cells its drop mask drops, runs one shared
+per-cell residual layer, average-pools over all cells (zeros included, no
+renormalization), and projects to the descriptor space. A classifier head
+shared across branches provides the id logits. The training objective is the
+metric loss over all branch descriptor batches plus the sum of per-branch
+cross entropies; inference is the mask-free path
 encoder -> resblock -> pool -> embed, nothing else.
+
+Shared trunk. The residual layer acts on each cell alone, and a fixed mask
+(the consecutive and overlapping row schedules, ``none``, the global branch)
+drops the same cells for every sample. A dropped cell enters the layer as
+zeros, so it always leaves as ``relu(res_b)``, whatever the input. Training
+therefore runs the residual layer once over the unmasked map, and branch b
+pools
+
+    (sum of all cells - sum of its dropped cells
+     + dropped count * relu(res_b)) / (H W)
+
+(without the residual layer a dropped cell is plain zero). The backward pass
+folds every branch into one per-cell gradient
+``sum_b keep_b[cell] * d_pooled_b / (H W)`` and runs one residual backward;
+res_b also collects ``sum_b dropped_b * sum_n d_pooled_b / (H W)`` where
+``res_b > 0``, the share of the constant cells. An all-ones row (``none``,
+the global branch) reduces to the inference pooling bit for bit. The
+randomized baselines draw per-sample, per-channel masks and keep the plain
+path: mask, residual layer, pool and backward for that branch alone.
 
 All backward passes are explicit and accumulate into ParamTensor.grad;
 training is plain Adam with linear warmup and staged decay, fully
@@ -87,6 +106,13 @@ class ModelConfig:
             raise ConfigError("ModelConfig: need batch_p >= 2 and batch_k >= 2")
         if self.keep_branches is not None and self.keep_branches < 1:
             raise ConfigError("ModelConfig: keep_branches must be >= 1")
+        if not isinstance(self.drop_scheme, dropmask.RANDOM_KINDS):
+            count = len(dropmask.branch_masks(self.drop_scheme, self.height,
+                                              self.width))
+            if self.keep_branches is not None and self.keep_branches > count:
+                raise ConfigError(
+                    f"ModelConfig: keep_branches={self.keep_branches} exceeds "
+                    f"the schedule's {count} branches")
 
 
 @dataclass
@@ -144,19 +170,22 @@ def init_params(config: ModelConfig, rng: np.random.Generator | None = None
                        res_w=res_w, res_b=res_b)
 
 
-def resolved_branch_masks(config: ModelConfig) -> list[Array] | None:
-    """Fixed (H, W) masks for deterministic schemes, None for randomized ones."""
-    scheme = config.drop_scheme
-    if isinstance(scheme, dropmask.RANDOM_KINDS):
+def _fixed_keep_rows(config: ModelConfig) -> Array | None:
+    """(branches, H*W) 0/1 keep matrix of the branches with fixed masks.
+
+    Rows follow the schedule (cut to ``keep_branches``), with the all-ones
+    global branch last; None when no branch has a fixed mask, i.e. for a
+    randomized scheme without the global branch.
+    """
+    masks = []
+    if not isinstance(config.drop_scheme, dropmask.RANDOM_KINDS):
+        masks = dropmask.branch_masks(config.drop_scheme, config.height,
+                                      config.width)[:config.keep_branches]
+    if config.use_global_branch:
+        masks.append(np.ones((config.height, config.width)))
+    if not masks:
         return None
-    masks = dropmask.branch_masks(scheme, config.height, config.width)
-    if config.keep_branches is not None:
-        if config.keep_branches > len(masks):
-            raise ConfigError(
-                f"keep_branches={config.keep_branches} exceeds the schedule's "
-                f"{len(masks)} branches")
-        masks = masks[:config.keep_branches]
-    return masks
+    return np.stack([m.reshape(-1) for m in masks])
 
 
 def _check_images(images: Array, config: ModelConfig) -> Array:
@@ -185,39 +214,68 @@ def _resblock_forward(cells: Array, params: ModelParams):
     return cells + relu_forward(pre), pre
 
 
-def _branch_forward(fmap: Array, mask: Array, params: ModelParams,
+def _shared_forward(feat: Array, keep: Array, params: ModelParams,
                     config: ModelConfig):
-    """Mask, shared resblock, average pool, embed and classify one branch."""
-    n = fmap.shape[0]
+    """Pooled maps of every fixed-mask branch from one resblock pass.
+
+    ``feat`` holds the encoder's (N*H*W, C) cells, ``keep`` the (B, H*W)
+    keep rows; returns (B, N, C) pooled maps and the backward cache.
+    """
     cell_count = config.height * config.width
-    masked = fmap * mask if mask.ndim == 4 else dropmask.apply_mask(fmap, mask)
-    z = masked.reshape(-1, config.feat_channels)
+    if config.use_resblock:
+        y, res_pre = _resblock_forward(feat, params)
+        dropped_cell = relu_forward(params.res_b.value)
+    else:
+        y, res_pre, dropped_cell = feat, None, 0.0
+    y = y.reshape(-1, cell_count, config.feat_channels)
+    dropped = 1.0 - keep
+    band_sums = np.einsum("bk,nkc->bnc", dropped, y)
+    dropped_count = dropped.sum(axis=1)
+    # full sum minus the dropped cells: an all-ones row stays infer's pooling
+    sums = (y.sum(axis=1) - band_sums
+            + dropped_count[:, None, None] * dropped_cell)
+    cache = {"keep": keep, "dropped_count": dropped_count, "feat": feat,
+             "res_pre": res_pre}
+    return sums / cell_count, cache
+
+
+def _shared_backward(d_pooled: Array, cache: dict, params: ModelParams,
+                     config: ModelConfig) -> Array:
+    """Fold the (B, N, C) pooled grads into one resblock backward.
+
+    Accumulates the resblock grads and returns the (N*H*W, C) encoder grad.
+    """
+    d_cells = d_pooled / (config.height * config.width)
+    d_y = np.einsum("bk,bnc->nkc", cache["keep"], d_cells)
+    d_y = d_y.reshape(-1, config.feat_channels)
+    if not config.use_resblock:
+        return d_y
+    d_res = relu_backward(cache["res_pre"], d_y)
+    d_feat, gw, gb = linear_backward(cache["feat"], params.res_w, d_res)
+    params.res_w.grad += gw
+    # each dropped cell holds relu(res_b), so its grad reaches res_b alone
+    d_dropped = cache["dropped_count"] @ d_cells.sum(axis=1)
+    params.res_b.grad += gb + np.where(params.res_b.value > 0.0, d_dropped, 0.0)
+    return d_feat + d_y
+
+
+def _branch_forward(feat: Array, mask: Array, params: ModelParams,
+                    config: ModelConfig):
+    """Pooled map of a branch with a randomized (N, H, W, C) mask."""
+    cell_count = config.height * config.width
+    z = (feat.reshape(mask.shape) * mask).reshape(-1, config.feat_channels)
     if config.use_resblock:
         y, res_pre = _resblock_forward(z, params)
     else:
         y, res_pre = z, None
-    pooled = y.reshape(n, cell_count, config.feat_channels).mean(axis=1)
-    desc = linear_forward(pooled, params.emb_w, params.emb_b)
-    logits = linear_forward(desc, params.cls_w, params.cls_b)
-    cache = {"mask": mask, "z": z, "res_pre": res_pre, "pooled": pooled,
-             "desc": desc}
-    return desc, logits, cache
+    pooled = y.reshape(-1, cell_count, config.feat_channels).mean(axis=1)
+    return pooled, {"mask": mask, "z": z, "res_pre": res_pre}
 
 
-def _branch_backward(d_desc: Array, d_logits: Array, cache: dict,
-                     params: ModelParams, config: ModelConfig,
-                     d_fmap: Array) -> None:
-    """Accumulate parameter grads for one branch; adds the map grad to d_fmap."""
-    n = d_desc.shape[0]
+def _branch_backward(d_pooled: Array, cache: dict, params: ModelParams,
+                     config: ModelConfig) -> Array:
+    """Backward of ``_branch_forward``; returns the (N*H*W, C) encoder grad."""
     cell_count = config.height * config.width
-    if d_logits is not None:
-        gd, gw, gb = linear_backward(cache["desc"], params.cls_w, d_logits)
-        params.cls_w.grad += gw
-        params.cls_b.grad += gb
-        d_desc = d_desc + gd
-    d_pooled, gw, gb = linear_backward(cache["pooled"], params.emb_w, d_desc)
-    params.emb_w.grad += gw
-    params.emb_b.grad += gb
     d_y = np.repeat(d_pooled[:, None, :] / cell_count, cell_count, axis=1)
     d_y = d_y.reshape(-1, config.feat_channels)
     if config.use_resblock:
@@ -225,13 +283,24 @@ def _branch_backward(d_desc: Array, d_logits: Array, cache: dict,
         d_z, gw, gb = linear_backward(cache["z"], params.res_w, d_res)
         params.res_w.grad += gw
         params.res_b.grad += gb
-        d_z = d_z + d_y
+        d_z += d_y
     else:
         d_z = d_y
-    d_masked = d_z.reshape(n, config.height, config.width, config.feat_channels)
-    mask = cache["mask"]
-    d_fmap += d_masked * mask if mask.ndim == 4 else \
-        dropmask.apply_mask(d_masked, mask)
+    d_z = d_z.reshape(cache["mask"].shape)
+    d_z *= cache["mask"]
+    return d_z.reshape(-1, config.feat_channels)
+
+
+def _head_backward(d_desc: Array, d_logits: Array, pooled: Array, desc: Array,
+                   params: ModelParams) -> Array:
+    """Embedding and classifier backward of one branch; returns d_pooled."""
+    gd, gw, gb = linear_backward(desc, params.cls_w, d_logits)
+    params.cls_w.grad += gw
+    params.cls_b.grad += gb
+    d_pooled, gw, gb = linear_backward(pooled, params.emb_w, d_desc + gd)
+    params.emb_w.grad += gw
+    params.emb_b.grad += gb
+    return d_pooled
 
 
 def forward_train(images, ids, params: ModelParams, config: ModelConfig,
@@ -250,28 +319,30 @@ def forward_train(images, ids, params: ModelParams, config: ModelConfig,
     if ids.shape != (n,):
         raise ShapeError(f"ids {ids.shape} vs {n} images")
 
-    masks = resolved_branch_masks(config)
-    if masks is None:
+    random_mask = None
+    if isinstance(config.drop_scheme, dropmask.RANDOM_KINDS):
         if rng is None:
             raise ConfigError("randomized drop scheme requires an rng")
-        masks = [dropmask.baseline_mask(config.drop_scheme, config.height,
-                                        config.width, config.feat_channels,
-                                        rng, batch_size=n)]
-    if config.use_global_branch:
-        masks = masks + [np.ones((config.height, config.width))]
+        random_mask = dropmask.baseline_mask(
+            config.drop_scheme, config.height, config.width,
+            config.feat_channels, rng, batch_size=n)
+    keep = _fixed_keep_rows(config)
 
     cells = images.reshape(-1, config.in_channels)
     a1 = linear_forward(cells, params.enc_w1, params.enc_b1)
     h1 = relu_forward(a1)
     feat = linear_forward(h1, params.enc_w2, params.enc_b2)
-    fmap = feat.reshape(n, config.height, config.width, config.feat_channels)
 
-    descs, logits, caches = [], [], []
-    for mask in masks:
-        d, lg, cache = _branch_forward(fmap, mask, params, config)
-        descs.append(d)
-        logits.append(lg)
-        caches.append(cache)
+    # branch order: the randomized branch (if any), then the fixed rows
+    pooled = []
+    if random_mask is not None:
+        p, random_cache = _branch_forward(feat, random_mask, params, config)
+        pooled.append(p)
+    if keep is not None:
+        p, shared_cache = _shared_forward(feat, keep, params, config)
+        pooled.extend(p)
+    descs = [linear_forward(p, params.emb_w, params.emb_b) for p in pooled]
+    logits = [linear_forward(d, params.cls_w, params.cls_b) for d in descs]
 
     branches = [DescriptorBatch(vectors=d, ids=ids) for d in descs]
     if config.loss == "elastic":
@@ -289,11 +360,16 @@ def forward_train(images, ids, params: ModelParams, config: ModelConfig,
         d_logits.append(g)
     total = metric_loss + ce_total
 
-    d_fmap = np.zeros_like(fmap)
-    for i, cache in enumerate(caches):
-        _branch_backward(metric_grads[i], d_logits[i], cache, params, config,
-                         d_fmap)
-    d_feat = d_fmap.reshape(-1, config.feat_channels)
+    d_pooled = [_head_backward(metric_grads[i], d_logits[i], pooled[i],
+                               descs[i], params) for i in range(len(descs))]
+    if random_mask is not None:
+        d_feat = _branch_backward(d_pooled[0], random_cache, params, config)
+        if keep is not None:
+            d_feat = d_feat + _shared_backward(np.stack(d_pooled[1:]),
+                                               shared_cache, params, config)
+    else:
+        d_feat = _shared_backward(np.stack(d_pooled), shared_cache, params,
+                                  config)
     d_h1, gw, gb = linear_backward(h1, params.enc_w2, d_feat)
     params.enc_w2.grad += gw
     params.enc_b2.grad += gb
@@ -493,7 +569,12 @@ def save_checkpoint(path, params: ModelParams, config: ModelConfig,
 
 
 def load_checkpoint(path) -> tuple[ModelParams, ModelConfig]:
-    blob = json.loads(Path(path).read_text())
+    try:
+        blob = json.loads(Path(path).read_text())
+    except FileNotFoundError as exc:
+        raise ConfigError(f"checkpoint file not found: {path}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"malformed json in checkpoint {path}: {exc}") from exc
     if blob.get("format_version") != CHECKPOINT_VERSION:
         raise ConfigError(
             f"checkpoint version {blob.get('format_version')} unsupported")

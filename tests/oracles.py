@@ -2,11 +2,23 @@
 
 Everything here is written straight from the definitions with explicit
 python loops and sets, independent of the package's vectorized code paths.
+The training-step oracle ``naive_forward_train`` keeps the straightforward
+branch-by-branch network path (mask, resblock, pool and backward once per
+branch) that ``model.forward_train`` factors through one shared resblock
+pass.
 """
 
 import math
 
 import numpy as np
+
+from elasticdrop import dropmask
+from elasticdrop.elastic_loss import (DescriptorBatch, ElasticParams,
+                                      batch_elastic_loss,
+                                      batch_hard_triplet_loss)
+from elasticdrop.numerics import (linear_backward, linear_forward,
+                                  relu_backward, relu_forward,
+                                  softmax_cross_entropy)
 
 
 def naive_sq_dist(u, v) -> float:
@@ -196,3 +208,114 @@ def random_retrieval_instance(rng, max_n=30, dim_range=(2, 6), cam_range=(1, 4))
     q_cams = rng.integers(0, n_cams, size=nq)
     g_cams = rng.integers(0, n_cams, size=ng)
     return q_desc, q_ids, q_cams, g_desc, g_ids, g_cams
+
+
+def _naive_branch_forward(fmap, mask, params, config):
+    """Mask the map, run the resblock on every cell, pool, embed, classify."""
+    n = fmap.shape[0]
+    cell_count = config.height * config.width
+    masked = fmap * mask if mask.ndim == 4 else dropmask.apply_mask(fmap, mask)
+    z = masked.reshape(-1, config.feat_channels)
+    res_pre = None
+    y = z
+    if config.use_resblock:
+        res_pre = linear_forward(z, params.res_w, params.res_b)
+        y = z + relu_forward(res_pre)
+    pooled = y.reshape(n, cell_count, config.feat_channels).mean(axis=1)
+    desc = linear_forward(pooled, params.emb_w, params.emb_b)
+    logits = linear_forward(desc, params.cls_w, params.cls_b)
+    cache = {"mask": mask, "z": z, "res_pre": res_pre, "pooled": pooled,
+             "desc": desc}
+    return desc, logits, cache
+
+
+def _naive_branch_backward(d_desc, d_logits, cache, params, config, d_fmap):
+    """One branch's full backward; adds its map gradient to d_fmap."""
+    n = d_desc.shape[0]
+    cell_count = config.height * config.width
+    gd, gw, gb = linear_backward(cache["desc"], params.cls_w, d_logits)
+    params.cls_w.grad += gw
+    params.cls_b.grad += gb
+    d_desc = d_desc + gd
+    d_pooled, gw, gb = linear_backward(cache["pooled"], params.emb_w, d_desc)
+    params.emb_w.grad += gw
+    params.emb_b.grad += gb
+    d_y = np.repeat(d_pooled[:, None, :] / cell_count, cell_count, axis=1)
+    d_y = d_y.reshape(-1, config.feat_channels)
+    if config.use_resblock:
+        d_res = relu_backward(cache["res_pre"], d_y)
+        d_z, gw, gb = linear_backward(cache["z"], params.res_w, d_res)
+        params.res_w.grad += gw
+        params.res_b.grad += gb
+        d_z = d_z + d_y
+    else:
+        d_z = d_y
+    d_masked = d_z.reshape(n, config.height, config.width, config.feat_channels)
+    mask = cache["mask"]
+    d_fmap += d_masked * mask if mask.ndim == 4 else \
+        dropmask.apply_mask(d_masked, mask)
+
+
+def naive_forward_train(images, ids, params, config, rng=None):
+    """Branch-by-branch training step: every branch masks the encoder map and
+    runs its own resblock, pool and backward.
+
+    Returns (total loss, branch descriptors); gradients accumulate into
+    ``params`` exactly as ``model.forward_train`` does.
+    """
+    images = np.asarray(images, dtype=np.float64)
+    ids = np.asarray(ids, dtype=np.int64)
+    n = images.shape[0]
+    scheme = config.drop_scheme
+    if isinstance(scheme, dropmask.RANDOM_KINDS):
+        masks = [dropmask.baseline_mask(scheme, config.height, config.width,
+                                        config.feat_channels, rng,
+                                        batch_size=n)]
+    else:
+        masks = dropmask.branch_masks(scheme, config.height, config.width)
+        if config.keep_branches is not None:
+            masks = masks[:config.keep_branches]
+    if config.use_global_branch:
+        masks = masks + [np.ones((config.height, config.width))]
+
+    cells = images.reshape(-1, config.in_channels)
+    a1 = linear_forward(cells, params.enc_w1, params.enc_b1)
+    h1 = relu_forward(a1)
+    feat = linear_forward(h1, params.enc_w2, params.enc_b2)
+    fmap = feat.reshape(n, config.height, config.width, config.feat_channels)
+
+    descs, logits, caches = [], [], []
+    for mask in masks:
+        d, lg, cache = _naive_branch_forward(fmap, mask, params, config)
+        descs.append(d)
+        logits.append(lg)
+        caches.append(cache)
+
+    branches = [DescriptorBatch(vectors=d, ids=ids) for d in descs]
+    if config.loss == "elastic":
+        metric_loss, metric_grads = batch_elastic_loss(
+            branches, ElasticParams(eta=config.eta,
+                                    detach_weight=config.detach_weight))
+    else:
+        metric_loss, metric_grads = batch_hard_triplet_loss(branches,
+                                                            eta=config.eta)
+    ce_total = 0.0
+    d_logits = []
+    for lg in logits:
+        ce, g = softmax_cross_entropy(lg, ids)
+        ce_total += ce
+        d_logits.append(g)
+
+    d_fmap = np.zeros_like(fmap)
+    for i, cache in enumerate(caches):
+        _naive_branch_backward(metric_grads[i], d_logits[i], cache, params,
+                               config, d_fmap)
+    d_feat = d_fmap.reshape(-1, config.feat_channels)
+    d_h1, gw, gb = linear_backward(h1, params.enc_w2, d_feat)
+    params.enc_w2.grad += gw
+    params.enc_b2.grad += gb
+    d_a1 = relu_backward(a1, d_h1)
+    _, gw, gb = linear_backward(cells, params.enc_w1, d_a1)
+    params.enc_w1.grad += gw
+    params.enc_b1.grad += gb
+    return metric_loss + ce_total, descs

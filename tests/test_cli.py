@@ -27,6 +27,12 @@ def micro_config(out_dir, **data_over):
     }
 
 
+def assert_one_config_error_line(capsys, fragment):
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("config error:") and fragment in err
+
+
 @pytest.fixture
 def config_path(tmp_path):
     path = tmp_path / "config.json"
@@ -126,6 +132,23 @@ class TestTrainCommand:
     def test_missing_config_exit_1(self, tmp_path):
         assert main(["train", "--config", str(tmp_path / "nope.json")]) == 1
 
+    def test_keep_branches_beyond_schedule_exit_1(self, tmp_path, capsys):
+        doc = micro_config(tmp_path)
+        doc["model"]["keep_branches"] = 9
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        assert main(["train", "--config", str(path)]) == 1
+        assert_one_config_error_line(capsys, "keep_branches=9")
+
+    def test_drop_rate_out_of_range_exit_1(self, tmp_path, capsys):
+        doc = micro_config(tmp_path)
+        doc["model"].update(branches=1, drop_scheme={"kind": "element_dropout",
+                                                     "rate": 1.5})
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        assert main(["train", "--config", str(path)]) == 1
+        assert_one_config_error_line(capsys, "1.5")
+
 
 class TestEvalCommand:
     def test_eval_checkpoint(self, tmp_path, config_path, capsys):
@@ -166,6 +189,31 @@ class TestEvalCommand:
 
     def test_eval_needs_source(self, config_path):
         assert main(["eval", "--config", str(config_path)]) == 1
+
+    def _eval_csv(self, tmp_path, config_path, query_text):
+        (tmp_path / "q.csv").write_text(query_text)
+        (tmp_path / "g.csv").write_text("id,camera,f0,f1\n0,1,0.5,0.5\n")
+        return main(["eval", "--config", str(config_path),
+                     "--query-csv", str(tmp_path / "q.csv"),
+                     "--gallery-csv", str(tmp_path / "g.csv")])
+
+    def test_ragged_csv_row_exit_1(self, tmp_path, config_path, capsys):
+        code = self._eval_csv(tmp_path, config_path,
+                              "0,0,0.1,0.2\n1,0,0.3\n")
+        assert code == 1
+        assert_one_config_error_line(capsys, "line 2")
+
+    def test_non_finite_descriptor_exit_1(self, tmp_path, config_path, capsys):
+        code = self._eval_csv(tmp_path, config_path,
+                              "0,0,0.1,0.2\n1,0,nan,0.3\n")
+        assert code == 1
+        assert_one_config_error_line(capsys, "non-finite")
+
+    def test_missing_checkpoint_exit_1(self, tmp_path, config_path, capsys):
+        code = main(["eval", "--config", str(config_path), "--checkpoint",
+                     str(tmp_path / "absent.json")])
+        assert code == 1
+        assert_one_config_error_line(capsys, "absent.json")
 
 
 class TestGradcheckCommand:

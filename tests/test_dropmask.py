@@ -230,6 +230,16 @@ class TestBaselineMask:
         with pytest.raises(ConfigError):
             baseline_mask(BatchDropBlock(1.5), 4, 4, 2, self.rng)
 
+    @pytest.mark.parametrize("kind, args", [
+        (ElementDropout, (1.5,)), (SpatialDropout, (1.0,)),
+        (BatchDropout, (-0.1,)), (DropBlock, (0, 2)), (DropBlock, (2, 2, 1.5)),
+        (BatchDropBlock, (1.0,)), (UniformRowDrop, (0,)),
+        (OverlapRowDrop, (2, 2)), (OverlapRowDrop, (3, 0)),
+    ])
+    def test_parameters_checked_on_construction(self, kind, args):
+        with pytest.raises(ConfigError):
+            kind(*args)
+
     def test_block_exceeding_map(self):
         with pytest.raises(ConfigError):
             baseline_mask(DropBlock(5, 2), 4, 4, 2, self.rng)

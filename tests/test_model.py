@@ -1,12 +1,17 @@
+import copy
+
 import numpy as np
 import pytest
 
+from oracles import naive_forward_train
+
 from elasticdrop.data_synth import SynthConfig, generate
-from elasticdrop.dropmask import NoDrop, UniformRowDrop
+from elasticdrop.dropmask import DropBlock, NoDrop, OverlapRowDrop, UniformRowDrop
 from elasticdrop.elastic_loss import DescriptorBatch, ElasticParams, \
     batch_elastic_loss
 from elasticdrop.errors import ConfigError, DegenerateBatchError, ShapeError
-from elasticdrop.gradcheck import check_model_end_to_end
+from elasticdrop.gradcheck import MODEL_TOL, check_model_end_to_end, \
+    model_variants
 from elasticdrop.model import (ModelConfig, config_from_dict, config_to_dict,
                                encode, forward_train, infer, init_params,
                                learning_rate, load_checkpoint, save_checkpoint,
@@ -160,6 +165,11 @@ class TestForwardTrain:
     def test_gradient_end_to_end(self):
         assert check_model_end_to_end(seed=0, trials=3) < 1e-5
 
+    @pytest.mark.parametrize("name", sorted(model_variants()))
+    def test_gradient_every_variant(self, name):
+        config = model_variants()[name]
+        assert check_model_end_to_end(seed=1, trials=2, config=config) < MODEL_TOL
+
     def test_randomized_scheme_needs_rng(self):
         from elasticdrop.dropmask import ElementDropout
         config = tiny_config(branches=1, drop_scheme=ElementDropout(0.3))
@@ -177,6 +187,74 @@ class TestForwardTrain:
         images, ids = tiny_inputs(config)
         _, out = forward_train(images, ids, params, config)
         assert len(out.branch_descriptors) == 1
+
+
+def oracle_config(**over):
+    shape = dict(height=8, width=4, in_channels=3, feat_channels=6,
+                 embed_dim=4, num_classes=4)
+    return tiny_config(**{**shape, **over})
+
+
+SHARED_TRUNK_VARIANTS = {
+    "uniform_m2": {},
+    "uniform_m4": dict(branches=4, drop_scheme=UniformRowDrop(m=4)),
+    "overlap": dict(drop_scheme=OverlapRowDrop(patch_h=3, overlap=1)),
+    "none": dict(branches=1, drop_scheme=NoDrop()),
+    "keep_branches": dict(branches=4, drop_scheme=UniformRowDrop(m=4),
+                          keep_branches=3),
+    "global_branch": dict(use_global_branch=True),
+    "no_resblock": dict(use_resblock=False),
+    "triplet": dict(loss="triplet"),
+    "detached_weight": dict(detach_weight=True),
+}
+
+
+def run_against_oracle(config, seed):
+    """One training step on both paths from identical params and inputs."""
+    rng = np.random.default_rng(seed)
+    images = rng.normal(size=(8, config.height, config.width,
+                              config.in_channels))
+    ids = np.arange(8) % 4
+    params = init_params(config, rng)
+    ref = copy.deepcopy(params)
+    total, out = forward_train(images, ids, params, config,
+                               rng=np.random.default_rng([seed, 1]))
+    ref_total, ref_descs = naive_forward_train(
+        images, ids, ref, config, rng=np.random.default_rng([seed, 1]))
+    assert len(out.branch_descriptors) == len(ref_descs)
+    grads = {name: (p.grad, ref.named()[name].grad)
+             for name, p in params.named().items()}
+    return (total, ref_total), list(zip(out.branch_descriptors, ref_descs)), grads
+
+
+class TestSharedTrunkOracle:
+    """forward_train against the per-branch path kept in tests/oracles.py."""
+
+    # the shared trunk reorders the pooled sums, so floats move in the last bits
+    TOL = 1e-12
+
+    @pytest.mark.parametrize("name", sorted(SHARED_TRUNK_VARIANTS))
+    def test_fixed_masks_match(self, name):
+        config = oracle_config(**SHARED_TRUNK_VARIANTS[name])
+        for seed in range(3):
+            (total, ref_total), descs, grads = run_against_oracle(config, seed)
+            assert abs(total - ref_total) <= self.TOL
+            for d, r in descs:
+                assert np.max(np.abs(d - r)) <= self.TOL
+            for param, (g, r) in grads.items():
+                assert np.max(np.abs(g - r)) <= self.TOL, param
+
+    @pytest.mark.parametrize("global_branch", [False, True])
+    def test_randomized_mask_exact(self, global_branch):
+        config = oracle_config(branches=1, use_global_branch=global_branch,
+                               drop_scheme=DropBlock(block_h=2, block_w=2))
+        for seed in range(3):
+            (total, ref_total), descs, grads = run_against_oracle(config, seed)
+            assert total == ref_total
+            for d, r in descs:
+                assert np.array_equal(d, r)
+            for param, (g, r) in grads.items():
+                assert np.array_equal(g, r), param
 
 
 class TestInfer:
@@ -331,3 +409,13 @@ class TestConfigSerialization:
     def test_uniform_divisibility_enforced(self):
         with pytest.raises(ConfigError):
             tiny_config(branches=3, drop_scheme=UniformRowDrop(m=3))
+
+    @pytest.mark.parametrize("over", [
+        dict(keep_branches=3),
+        dict(keep_branches=2, branches=1, drop_scheme=NoDrop()),
+        dict(keep_branches=4, drop_scheme=OverlapRowDrop(patch_h=2, overlap=1)),
+        dict(drop_scheme=OverlapRowDrop(patch_h=5, overlap=1)),
+    ])
+    def test_schedule_checked_on_construction(self, over):
+        with pytest.raises(ConfigError):
+            tiny_config(**over)
