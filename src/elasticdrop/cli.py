@@ -17,7 +17,7 @@ import json
 import math
 import statistics
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -29,8 +29,8 @@ from .dropmask import (BatchDropBlock, BatchDropout, DropBlock, ElementDropout,
                        overlap_row_partition, uniform_row_partition)
 from .errors import ConfigError, NumericError
 from .gradcheck import run_gradient_checks
-from .model import (ModelConfig, ModelParams, config_from_dict, config_to_dict,
-                    infer, load_checkpoint, save_checkpoint, scheme_from_dict,
+from .model import (ModelConfig, ModelParams, check_fields, config_from_dict,
+                    config_to_dict, infer, load_checkpoint, save_checkpoint,
                     train)
 from .retrieval_eval import (EvalMetrics, QuerySet, GallerySet,
                              clamped_rerank_params, evaluate,
@@ -55,69 +55,48 @@ class RunConfig:
     output_dir: str = "runs/out"
 
 
-_DATA_KEYS = set(SynthConfig.__dataclass_fields__)
-_EVAL_KEYS = {"ks", "rerank", "k1", "k2", "lambda_value"}
-_TOP_KEYS = {"data", "model", "eval", "output_dir"}
 # model keys that the data section owns; rejected inside "model"
 _DERIVED_MODEL_KEYS = {"height", "width", "in_channels", "num_classes"}
 
 
-def _check_keys(section: str, given: dict, allowed: set) -> None:
-    extra = set(given) - allowed
-    if extra:
-        raise ConfigError(f"config section '{section}': unknown keys {sorted(extra)}")
-
-
 def run_config_from_dict(doc: dict) -> RunConfig:
-    """Build a RunConfig; model grid shape and class count come from data."""
-    if not isinstance(doc, dict):
-        raise ConfigError("run config must be a json object")
-    _check_keys("top level", doc, _TOP_KEYS)
-    data_doc = dict(doc.get("data", {}))
-    _check_keys("data", data_doc, _DATA_KEYS)
+    """Build a RunConfig; model grid shape and class count come from data.
+
+    Every section goes through ``check_fields``: unknown keys and values
+    of the wrong json type are configuration errors.
+    """
+    check_fields(RunConfig, doc, "run config")
+    data_doc = doc.get("data", {})
+    check_fields(SynthConfig, data_doc, "config section 'data'")
     data = SynthConfig(**data_doc)
 
-    model_doc = dict(doc.get("model", {}))
+    model_doc = doc.get("model", {})
+    check_fields(ModelConfig, model_doc, "config section 'model'")
     bad = set(model_doc) & _DERIVED_MODEL_KEYS
     if bad:
         raise ConfigError(
             f"config section 'model': keys {sorted(bad)} are derived from 'data'")
-    if "drop_scheme" in model_doc:
-        model_doc["drop_scheme"] = scheme_from_dict(model_doc["drop_scheme"])
-    if "decay_epochs" in model_doc:
-        model_doc["decay_epochs"] = tuple(model_doc["decay_epochs"])
-    known = set(ModelConfig.__dataclass_fields__) - _DERIVED_MODEL_KEYS
-    _check_keys("model", model_doc, known)
     if "branches" in model_doc and "drop_scheme" not in model_doc:
-        model_doc["drop_scheme"] = UniformRowDrop(m=model_doc["branches"])
-    model = ModelConfig(height=data.height, width=data.width,
-                        in_channels=data.channels, num_classes=data.num_ids,
-                        **model_doc)
+        model_doc = {**model_doc,
+                     "drop_scheme": {"kind": "uniform", "m": model_doc["branches"]}}
+    model = config_from_dict({**model_doc, "height": data.height,
+                              "width": data.width, "in_channels": data.channels,
+                              "num_classes": data.num_ids})
 
-    eval_doc = dict(doc.get("eval", {}))
-    _check_keys("eval", eval_doc, _EVAL_KEYS)
-    if "ks" in eval_doc:
-        eval_doc["ks"] = tuple(int(k) for k in eval_doc["ks"])
-    eval_cfg = EvalConfig(**eval_doc)
-
-    output_dir = doc.get("output_dir", "runs/out")
-    if not isinstance(output_dir, str):
-        raise ConfigError("output_dir must be a string")
-    return RunConfig(data=data, model=model, eval=eval_cfg, output_dir=output_dir)
+    eval_doc = doc.get("eval", {})
+    check_fields(EvalConfig, eval_doc, "config section 'eval'")
+    eval_cfg = EvalConfig(**{**eval_doc,
+                             "ks": tuple(eval_doc.get("ks", EvalConfig.ks))})
+    return RunConfig(data=data, model=model, eval=eval_cfg,
+                     output_dir=doc.get("output_dir", "runs/out"))
 
 
 def run_config_to_dict(cfg: RunConfig) -> dict:
     model = config_to_dict(cfg.model)
     for key in _DERIVED_MODEL_KEYS:
         model.pop(key)
-    return {
-        "data": {k: getattr(cfg.data, k) for k in sorted(_DATA_KEYS)},
-        "model": model,
-        "eval": {"ks": list(cfg.eval.ks), "rerank": cfg.eval.rerank,
-                 "k1": cfg.eval.k1, "k2": cfg.eval.k2,
-                 "lambda_value": cfg.eval.lambda_value},
-        "output_dir": cfg.output_dir,
-    }
+    return {"data": asdict(cfg.data), "model": model, "eval": asdict(cfg.eval),
+            "output_dir": cfg.output_dir}
 
 
 def config_hash(cfg: RunConfig) -> str:
@@ -271,6 +250,11 @@ def cmd_eval(args) -> int:
         metrics = {"all": _evaluate_sets(query, gallery, cfg.eval).to_dict()}
     elif args.checkpoint:
         params, model_cfg = load_checkpoint(args.checkpoint)
+        grid = (model_cfg.height, model_cfg.width, model_cfg.in_channels)
+        data_grid = (cfg.data.height, cfg.data.width, cfg.data.channels)
+        if grid != data_grid:
+            raise ConfigError(f"checkpoint grid {grid} (height, width, channels) "
+                              f"does not match the config's data {data_grid}")
         dataset = generate(cfg.data)
         gallery = _descriptor_sets(params, model_cfg, dataset.gallery)
         query = _descriptor_sets(params, model_cfg, dataset.query)

@@ -15,7 +15,6 @@ gallery); cameras cycle round-robin over a given id's samples.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -181,34 +180,3 @@ def pk_batches(ids, p: int, k: int, seed) -> list[np.ndarray]:
             pool.pop(i)
     return batches
 
-
-# --- optional on-disk dump ------------------------------------------------
-#
-# manifest.csv: split,index,id,camera,occluded,path
-# each sample file: one float per line, row-major over (H, W, C)
-
-def dump_dataset(dataset: SynthDataset, out_dir) -> Path:
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    lines = ["split,index,id,camera,occluded,path"]
-    for split_name in ("train", "query", "gallery"):
-        for i, s in enumerate(getattr(dataset, split_name)):
-            rel = f"{split_name}_{i:05d}.txt"
-            np.savetxt(out / rel, s.image.reshape(-1), fmt="%.17g")
-            lines.append(f"{split_name},{i},{s.id},{s.camera},{int(s.occluded)},{rel}")
-    (out / "manifest.csv").write_text("\n".join(lines) + "\n")
-    return out / "manifest.csv"
-
-
-def load_dataset(manifest_path, height: int, width: int,
-                 channels: int) -> dict[str, list[Sample]]:
-    manifest = Path(manifest_path)
-    splits: dict[str, list[Sample]] = {"train": [], "query": [], "gallery": []}
-    rows = manifest.read_text().strip().splitlines()[1:]
-    for row in rows:
-        split, _, pid, camera, occluded, rel = row.split(",")
-        flat = np.loadtxt(manifest.parent / rel)
-        splits[split].append(Sample(
-            image=flat.reshape(height, width, channels),
-            id=int(pid), camera=int(camera), occluded=bool(int(occluded))))
-    return splits

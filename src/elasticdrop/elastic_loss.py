@@ -2,17 +2,24 @@
 
 Mining is per anchor: the farthest same-id sample (hardest positive) and the
 nearest different-id sample (hardest negative), measured in squared euclidean
-distance. The plain loss is the hinge ``max(0, eta + max_pos - min_neg)``
-averaged over valid anchors. The elastic variant scales each anchor's hinge
-by a weight
+distance. Every loss here is one formula, computed by one core: each valid
+anchor's hinge ``max(0, eta + max_pos - min_neg)`` times a weight, summed
+over the descriptor branches and averaged over the valid (anchor, branch)
+units. The core takes one of three weightings:
 
-    w = sigmoid(delta),   delta = max_pos / (min_neg + 1),
+* ``"sigmoid"``: the elastic weight
 
-which is confined to [1/2, 1): hard anchors (large max_pos relative to
-min_neg) approach full weight, easy ones are damped toward one half. All
-gradients are analytic and verified against the finite-difference oracle;
-by default the weight participates in the backward pass, with a detach flag
-to freeze it per step.
+      w = sigmoid(delta),   delta = max_pos / (min_neg + 1),
+
+  confined to [1/2, 1): hard anchors (large max_pos relative to min_neg)
+  approach full weight, easy ones are damped toward one half. The weight
+  takes part in the backward pass through the product rule.
+* ``"detached"``: the same weight, held constant in the backward pass.
+* a constant weight, scalar or per anchor, also held constant. The plain
+  batch-hard triplet loss (Hermans et al. 2017) is the constant 1.
+
+A single batch is the one-branch case. All gradients are analytic and
+verified against the finite-difference oracle.
 """
 
 from __future__ import annotations
@@ -160,14 +167,6 @@ def elastic_weight(max_pos, min_neg):
     return delta, w
 
 
-def _require_valid(hard: HardPairs) -> int:
-    n_valid = int(hard.valid.sum())
-    if n_valid == 0:
-        raise DegenerateBatchError(
-            "no anchor has both a positive and a negative in this batch")
-    return n_valid
-
-
 def _descriptor_grads(vectors: Array, hard: HardPairs, d_mp: Array,
                       d_mn: Array) -> Array:
     """Chain per-anchor distance gradients back to the descriptor matrix.
@@ -189,6 +188,55 @@ def _descriptor_grads(vectors: Array, hard: HardPairs, d_mp: Array,
     return grads
 
 
+def _metric_loss(branches: list[DescriptorBatch], eta: float, weighting,
+                 mined: list[HardPairs] | None = None
+                 ) -> tuple[float, list[Array]]:
+    """Weighted batch-hard hinge over branches; the module docstring lists
+    the weightings.
+
+    Each branch is mined in its own geometry unless ``mined`` gives its
+    hardest pairs. Returns the loss and one gradient array per branch.
+    """
+    if not branches:
+        raise ValueError("need at least one descriptor branch")
+    if any(len(b) != len(branches[0]) or not np.array_equal(b.ids, branches[0].ids)
+           for b in branches[1:]):
+        raise ValueError("all branches must share the same ids")
+    chain = isinstance(weighting, str) and weighting == "sigmoid"
+    if mined is None:
+        mined = [batch_hard_mine(pairwise_sq_dist(b), b.ids) for b in branches]
+    total_valid = int(sum(h.valid.sum() for h in mined))
+    if total_valid == 0:
+        raise DegenerateBatchError(
+            "no (anchor, branch) unit has both a positive and a negative")
+    loss = 0.0
+    grads = []
+    for b, h in zip(branches, mined):
+        mp, mn = h.max_pos_dist, h.min_neg_dist
+        if isinstance(weighting, str):
+            w = _sigmoid_weight(mp / (mn + 1.0))
+        else:
+            w = np.broadcast_to(np.asarray(weighting, dtype=np.float64), mp.shape)
+        raw = eta + mp - mn
+        active = h.valid & (raw > 0.0)
+        hinge = np.where(active, raw, 0.0)
+        loss += float(np.where(h.valid, w * hinge, 0.0).sum())
+        d_mp = np.where(active, w, 0.0)
+        d_mn = -d_mp
+        if chain:
+            # product rule through w(delta): w' = w (1 - w).
+            coef = np.where(active, w * (1.0 - w) * hinge, 0.0)
+            d_mp = d_mp + coef / (mn + 1.0)
+            d_mn = d_mn - coef * mp / (mn + 1.0) ** 2
+        grads.append(_descriptor_grads(b.vectors, h, d_mp / total_valid,
+                                       d_mn / total_valid))
+    return loss / total_valid, grads
+
+
+def _weighting(params: ElasticParams) -> str:
+    return "detached" if params.detach_weight else "sigmoid"
+
+
 def hard_triplet_loss(batch: DescriptorBatch, eta: float = 3.0,
                       hard: HardPairs | None = None) -> tuple[float, Array]:
     """Mean over valid anchors of max(0, eta + max_pos - min_neg).
@@ -196,41 +244,9 @@ def hard_triplet_loss(batch: DescriptorBatch, eta: float = 3.0,
     Returns the loss and its gradient w.r.t. the descriptor matrix; gradient
     flows only through each anchor's selected hardest pair.
     """
-    if hard is None:
-        hard = batch_hard_mine(pairwise_sq_dist(batch), batch.ids)
-    n_valid = _require_valid(hard)
-    raw = eta + hard.max_pos_dist - hard.min_neg_dist
-    active = hard.valid & (raw > 0.0)
-    loss = float(np.where(active, raw, 0.0).sum() / n_valid)
-    d_mp = np.where(active, 1.0 / n_valid, 0.0)
-    grads = _descriptor_grads(batch.vectors, hard, d_mp, -d_mp)
+    loss, (grads,) = _metric_loss([batch], eta, 1.0,
+                                  None if hard is None else [hard])
     return loss, grads
-
-
-def _elastic_anchor_terms(hard: HardPairs, params: ElasticParams,
-                          weight_override=None):
-    """Unnormalized per-anchor elastic terms and their distance derivatives."""
-    mp = hard.max_pos_dist
-    mn = hard.min_neg_dist
-    if weight_override is None:
-        w = _sigmoid_weight(mp / (mn + 1.0))
-        chain_weight = not params.detach_weight
-    else:
-        w = np.broadcast_to(np.asarray(weight_override, dtype=np.float64),
-                            mp.shape).copy()
-        chain_weight = False
-    raw = params.eta + mp - mn
-    active = hard.valid & (raw > 0.0)
-    hinge = np.where(active, raw, 0.0)
-    terms = np.where(hard.valid, w * hinge, 0.0)
-    d_mp = np.where(active, w, 0.0)
-    d_mn = -d_mp
-    if chain_weight:
-        # product rule through w(delta): w' = w (1 - w).
-        coef = np.where(active, w * (1.0 - w) * hinge, 0.0)
-        d_mp = d_mp + coef / (mn + 1.0)
-        d_mn = d_mn - coef * mp / (mn + 1.0) ** 2
-    return terms, d_mp, d_mn
 
 
 def elastic_triplet_loss(batch: DescriptorBatch,
@@ -245,22 +261,10 @@ def elastic_triplet_loss(batch: DescriptorBatch,
     in the backward pass.
     """
     params = params or ElasticParams()
-    if hard is None:
-        hard = batch_hard_mine(pairwise_sq_dist(batch), batch.ids)
-    n_valid = _require_valid(hard)
-    terms, d_mp, d_mn = _elastic_anchor_terms(hard, params, weight_override)
-    loss = float(terms.sum() / n_valid)
-    grads = _descriptor_grads(batch.vectors, hard, d_mp / n_valid, d_mn / n_valid)
+    weighting = _weighting(params) if weight_override is None else weight_override
+    loss, (grads,) = _metric_loss([batch], params.eta, weighting,
+                                  None if hard is None else [hard])
     return loss, grads
-
-
-def _check_branches(branches: list[DescriptorBatch]) -> None:
-    if not branches:
-        raise ValueError("need at least one descriptor branch")
-    ids0 = branches[0].ids
-    for b in branches[1:]:
-        if len(b) != len(branches[0]) or not np.array_equal(b.ids, ids0):
-            raise ValueError("all branches must share the same ids")
 
 
 def batch_elastic_loss(branches: list[DescriptorBatch],
@@ -272,37 +276,10 @@ def batch_elastic_loss(branches: list[DescriptorBatch],
     the loss and one gradient array per branch.
     """
     params = params or ElasticParams()
-    _check_branches(branches)
-    mined = [batch_hard_mine(pairwise_sq_dist(b), b.ids) for b in branches]
-    total_valid = int(sum(h.valid.sum() for h in mined))
-    if total_valid == 0:
-        raise DegenerateBatchError(
-            "no (anchor, branch) unit has both a positive and a negative")
-    loss = 0.0
-    grads = []
-    for b, h in zip(branches, mined):
-        terms, d_mp, d_mn = _elastic_anchor_terms(h, params)
-        loss += float(terms.sum())
-        grads.append(_descriptor_grads(b.vectors, h, d_mp / total_valid,
-                                       d_mn / total_valid))
-    return loss / total_valid, grads
+    return _metric_loss(branches, params.eta, _weighting(params))
 
 
 def batch_hard_triplet_loss(branches: list[DescriptorBatch], eta: float = 3.0
                             ) -> tuple[float, list[Array]]:
     """Plain batch-hard hinge over branches, same unit normalization as above."""
-    _check_branches(branches)
-    mined = [batch_hard_mine(pairwise_sq_dist(b), b.ids) for b in branches]
-    total_valid = int(sum(h.valid.sum() for h in mined))
-    if total_valid == 0:
-        raise DegenerateBatchError(
-            "no (anchor, branch) unit has both a positive and a negative")
-    loss = 0.0
-    grads = []
-    for b, h in zip(branches, mined):
-        raw = eta + h.max_pos_dist - h.min_neg_dist
-        active = h.valid & (raw > 0.0)
-        loss += float(np.where(active, raw, 0.0).sum())
-        d_mp = np.where(active, 1.0 / total_valid, 0.0)
-        grads.append(_descriptor_grads(b.vectors, h, d_mp, -d_mp))
-    return loss / total_valid, grads
+    return _metric_loss(branches, eta, 1.0)

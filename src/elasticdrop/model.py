@@ -24,9 +24,8 @@ pools
 folds every branch into one per-cell gradient
 ``sum_b keep_b[cell] * d_pooled_b / (H W)`` and runs one residual backward;
 res_b also collects ``sum_b dropped_b * sum_n d_pooled_b / (H W)`` where
-``res_b > 0``, the share of the constant cells. An all-ones row (``none``,
-the global branch) reduces to the inference pooling bit for bit. The
-randomized baselines draw per-sample, per-channel masks and keep the plain
+``res_b > 0``, the share of the constant cells. Inference is this path
+with one all-ones keep row, the global branch. The randomized baselines draw per-sample, per-channel masks and keep the plain
 path: mask, residual layer, pool and backward for that branch alone.
 
 All backward passes are explicit and accumulate into ParamTensor.grad;
@@ -37,7 +36,9 @@ deterministic given the config seed.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import types
+import typing
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -91,6 +92,8 @@ class ModelConfig:
             raise ConfigError("ModelConfig: need at least 2 classes")
         if self.loss not in LOSS_MODES:
             raise ConfigError(f"ModelConfig: loss must be one of {LOSS_MODES}")
+        if not self.eta > 0:
+            raise ConfigError(f"ModelConfig: eta must be positive, got {self.eta}")
         if isinstance(self.drop_scheme, UniformRowDrop):
             if self.drop_scheme.m != self.branches:
                 raise ConfigError(
@@ -113,6 +116,13 @@ class ModelConfig:
                 raise ConfigError(
                     f"ModelConfig: keep_branches={self.keep_branches} exceeds "
                     f"the schedule's {count} branches")
+        if isinstance(self.drop_scheme, DropBlock) and (
+                self.drop_scheme.block_h > self.height
+                or self.drop_scheme.block_w > self.width):
+            raise ConfigError(
+                f"ModelConfig: DropBlock block {self.drop_scheme.block_h}x"
+                f"{self.drop_scheme.block_w} exceeds the map "
+                f"{self.height}x{self.width}")
 
 
 @dataclass
@@ -198,14 +208,20 @@ def _check_images(images: Array, config: ModelConfig) -> Array:
     return images
 
 
+def _encode_cells(images: Array, params: ModelParams, config: ModelConfig):
+    """Encoder over the (N*H*W, in) cells; returns (cells, a1, h1, feat)."""
+    cells = images.reshape(-1, config.in_channels)
+    a1 = linear_forward(cells, params.enc_w1, params.enc_b1)
+    h1 = relu_forward(a1)
+    feat = linear_forward(h1, params.enc_w2, params.enc_b2)
+    return cells, a1, h1, feat
+
+
 def encode(images, params: ModelParams, config: ModelConfig) -> Array:
     """Per-cell two-layer transform, identical at every (h, w) location."""
     images = _check_images(images, config)
-    n = images.shape[0]
-    cells = images.reshape(-1, config.in_channels)
-    a1 = linear_forward(cells, params.enc_w1, params.enc_b1)
-    feat = linear_forward(relu_forward(a1), params.enc_w2, params.enc_b2)
-    return feat.reshape(n, config.height, config.width, config.feat_channels)
+    feat = _encode_cells(images, params, config)[3]
+    return feat.reshape(images.shape[:3] + (config.feat_channels,))
 
 
 def _resblock_forward(cells: Array, params: ModelParams):
@@ -328,10 +344,7 @@ def forward_train(images, ids, params: ModelParams, config: ModelConfig,
             config.feat_channels, rng, batch_size=n)
     keep = _fixed_keep_rows(config)
 
-    cells = images.reshape(-1, config.in_channels)
-    a1 = linear_forward(cells, params.enc_w1, params.enc_b1)
-    h1 = relu_forward(a1)
-    feat = linear_forward(h1, params.enc_w2, params.enc_b2)
+    cells, a1, h1, feat = _encode_cells(images, params, config)
 
     # branch order: the randomized branch (if any), then the fixed rows
     pooled = []
@@ -391,18 +404,14 @@ def forward_train(images, ids, params: ModelParams, config: ModelConfig,
 
 
 def infer(images, params: ModelParams, config: ModelConfig) -> Array:
-    """Mask-free descriptors: encoder -> resblock -> average pool -> embed."""
-    images = _check_images(images, config)
-    n = images.shape[0]
-    fmap = encode(images, params, config)
-    z = fmap.reshape(-1, config.feat_channels)
-    if config.use_resblock:
-        y, _ = _resblock_forward(z, params)
-    else:
-        y = z
-    pooled = y.reshape(n, config.height * config.width,
-                       config.feat_channels).mean(axis=1)
-    return linear_forward(pooled, params.emb_w, params.emb_b)
+    """Mask-free descriptors: encoder -> resblock -> average pool -> embed.
+
+    The global branch's path: the shared trunk with one all-ones keep row.
+    """
+    feat = encode(images, params, config).reshape(-1, config.feat_channels)
+    keep = np.ones((1, config.height * config.width))
+    pooled, _ = _shared_forward(feat, keep, params, config)
+    return linear_forward(pooled[0], params.emb_w, params.emb_b)
 
 
 def learning_rate(config: ModelConfig, epoch: int) -> float:
@@ -457,40 +466,7 @@ def train(samples: list[Sample], config: ModelConfig
 CHECKPOINT_VERSION = 1
 
 
-def scheme_to_dict(scheme: DropStrategyKind) -> dict:
-    if isinstance(scheme, UniformRowDrop):
-        return {"kind": "uniform", "m": scheme.m}
-    if isinstance(scheme, OverlapRowDrop):
-        return {"kind": "overlap", "patch_h": scheme.patch_h,
-                "overlap": scheme.overlap}
-    if isinstance(scheme, NoDrop):
-        return {"kind": "none"}
-    if isinstance(scheme, ElementDropout):
-        return {"kind": "element_dropout", "rate": scheme.rate}
-    if isinstance(scheme, SpatialDropout):
-        return {"kind": "spatial_dropout", "rate": scheme.rate}
-    if isinstance(scheme, BatchDropout):
-        return {"kind": "batch_dropout", "rate": scheme.rate}
-    if isinstance(scheme, DropBlock):
-        return {"kind": "dropblock", "block_h": scheme.block_h,
-                "block_w": scheme.block_w, "rate": scheme.rate}
-    if isinstance(scheme, BatchDropBlock):
-        return {"kind": "batch_dropblock", "rows_fraction": scheme.rows_fraction}
-    raise ConfigError(f"unknown drop scheme {scheme!r}")
-
-
-_SCHEME_FIELDS = {
-    "uniform": ("m",),
-    "overlap": ("patch_h", "overlap"),
-    "none": (),
-    "element_dropout": ("rate",),
-    "spatial_dropout": ("rate",),
-    "batch_dropout": ("rate",),
-    "dropblock": ("block_h", "block_w", "rate"),
-    "batch_dropblock": ("rows_fraction",),
-}
-
-_SCHEME_TYPES = {
+_DROP_SCHEMES = {
     "uniform": UniformRowDrop,
     "overlap": OverlapRowDrop,
     "none": NoDrop,
@@ -502,49 +478,71 @@ _SCHEME_TYPES = {
 }
 
 
+def _fits(value, hint) -> bool:
+    """Whether a json value fits a field type; see ``check_fields``."""
+    if typing.get_origin(hint) in (typing.Union, types.UnionType):
+        return any(_fits(value, arg) for arg in typing.get_args(hint))
+    if typing.get_origin(hint) is tuple:
+        return isinstance(value, (list, tuple)) and all(
+            _fits(v, typing.get_args(hint)[0]) for v in value)
+    if hint in (int, float):
+        return isinstance(value, (int, hint)) and not isinstance(value, bool)
+    return isinstance(value, hint) if hint in (bool, str, type(None)) else True
+
+
+def check_fields(cls, doc, where: str) -> None:
+    """Reject a ``doc`` holding keys that are not fields of dataclass ``cls``
+    or values that do not fit their field's type.
+
+    int fields reject bool and float, float fields accept int, tuple fields
+    take a json list; a field of any other type (the drop scheme) is left
+    to its own parser.
+    """
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{where} must be a json object, got {doc!r}")
+    declared = {f.name: f.type for f in fields(cls)}
+    extra = set(doc) - set(declared)
+    if extra:
+        raise ConfigError(f"{where}: unknown keys {sorted(extra)}")
+    hints = typing.get_type_hints(cls)
+    for key, value in doc.items():
+        if not _fits(value, hints[key]):
+            raise ConfigError(f"{where}: {key} must be of type {declared[key]}, "
+                              f"got {value!r}")
+
+
+def scheme_to_dict(scheme: DropStrategyKind) -> dict:
+    for kind, cls in _DROP_SCHEMES.items():
+        if type(scheme) is cls:
+            return {"kind": kind, **asdict(scheme)}
+    raise ConfigError(f"unknown drop scheme {scheme!r}")
+
+
 def scheme_from_dict(d: dict) -> DropStrategyKind:
     if not isinstance(d, dict) or "kind" not in d:
         raise ConfigError(f"drop_scheme must be an object with a 'kind', got {d!r}")
     kind = d["kind"]
-    if kind not in _SCHEME_TYPES:
+    if kind not in _DROP_SCHEMES:
         raise ConfigError(
             f"unknown drop_scheme kind {kind!r}; expected one of "
-            f"{sorted(_SCHEME_TYPES)}")
-    allowed = set(_SCHEME_FIELDS[kind])
-    extra = set(d) - allowed - {"kind"}
-    if extra:
-        raise ConfigError(f"drop_scheme {kind!r}: unknown keys {sorted(extra)}")
-    kwargs = {k: d[k] for k in allowed if k in d}
+            f"{sorted(_DROP_SCHEMES)}")
+    kwargs = {k: v for k, v in d.items() if k != "kind"}
+    check_fields(_DROP_SCHEMES[kind], kwargs, f"drop_scheme {kind!r}")
     try:
-        return _SCHEME_TYPES[kind](**kwargs)
+        return _DROP_SCHEMES[kind](**kwargs)
     except TypeError as exc:
         raise ConfigError(f"drop_scheme {kind!r}: {exc}") from exc
 
 
 def config_to_dict(config: ModelConfig) -> dict:
-    d = {
-        "height": config.height, "width": config.width,
-        "in_channels": config.in_channels, "feat_channels": config.feat_channels,
-        "embed_dim": config.embed_dim, "branches": config.branches,
-        "num_classes": config.num_classes, "eta": config.eta,
-        "detach_weight": config.detach_weight,
-        "use_global_branch": config.use_global_branch,
-        "use_resblock": config.use_resblock, "loss": config.loss,
-        "drop_scheme": scheme_to_dict(config.drop_scheme),
-        "base_lr": config.base_lr, "warmup_epochs": config.warmup_epochs,
-        "decay_epochs": list(config.decay_epochs),
-        "decay_factor": config.decay_factor, "epochs": config.epochs,
-        "batch_p": config.batch_p, "batch_k": config.batch_k,
-        "seed": config.seed, "keep_branches": config.keep_branches,
-    }
+    d = {f.name: getattr(config, f.name) for f in fields(ModelConfig)}
+    d["drop_scheme"] = scheme_to_dict(config.drop_scheme)
+    d["decay_epochs"] = list(config.decay_epochs)
     return d
 
 
 def config_from_dict(d: dict) -> ModelConfig:
-    known = set(config_to_dict(ModelConfig()))
-    extra = set(d) - known
-    if extra:
-        raise ConfigError(f"model config: unknown keys {sorted(extra)}")
+    check_fields(ModelConfig, d, "model config")
     kwargs = dict(d)
     if "drop_scheme" in kwargs:
         kwargs["drop_scheme"] = scheme_from_dict(kwargs["drop_scheme"])
@@ -575,18 +573,29 @@ def load_checkpoint(path) -> tuple[ModelParams, ModelConfig]:
         raise ConfigError(f"checkpoint file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"malformed json in checkpoint {path}: {exc}") from exc
-    if blob.get("format_version") != CHECKPOINT_VERSION:
-        raise ConfigError(
-            f"checkpoint version {blob.get('format_version')} unsupported")
+    version = blob.get("format_version") if isinstance(blob, dict) else None
+    if version != CHECKPOINT_VERSION:
+        raise ConfigError(f"checkpoint version {version} unsupported")
+    missing = {"config", "params"} - set(blob)
+    if missing:
+        raise ConfigError(f"checkpoint {path}: missing {sorted(missing)}")
     config = config_from_dict(blob["config"])
     params = init_params(config, np.random.default_rng(0))
     named = params.named()
-    if set(blob["params"]) != set(named):
+    stored = blob["params"]
+    if not isinstance(stored, dict) or set(stored) != set(named):
         raise ConfigError("checkpoint parameter names do not match the config")
-    for name, entry in blob["params"].items():
-        value = np.asarray(entry["data"], dtype=np.float64).reshape(entry["shape"])
-        if value.shape != named[name].value.shape:
-            raise ConfigError(f"checkpoint param {name}: shape {value.shape} "
-                              f"vs expected {named[name].value.shape}")
-        named[name].value = value
+    for name, entry in stored.items():
+        expected = named[name].value
+        if not isinstance(entry, dict) or not {"shape", "data"} <= set(entry):
+            raise ConfigError(f"checkpoint param {name}: needs 'shape' and 'data'")
+        try:
+            value = np.asarray(entry["data"], dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"checkpoint param {name}: {exc}") from exc
+        if entry["shape"] != list(expected.shape) or value.shape != (expected.size,):
+            raise ConfigError(
+                f"checkpoint param {name}: shape {entry['shape']} with "
+                f"{value.size} values vs expected {list(expected.shape)}")
+        named[name].value = value.reshape(expected.shape)
     return params, config

@@ -72,6 +72,48 @@ def naive_hard_mine(dist, ids):
     return rows
 
 
+def naive_metric_loss(branch_vectors, ids, eta, weighting):
+    """Weighted batch-hard hinge over branches, anchor by anchor.
+
+    ``weighting`` is "sigmoid", "detached" or a per-anchor list of constant
+    weights. Each valid anchor adds ``w * max(0, eta + max_pos - min_neg)``;
+    the sum is divided by the valid (anchor, branch) units. The gradient
+    differentiates that term w.r.t. max_pos and min_neg (with the sigmoid
+    weight's own derivative under "sigmoid") and chains each through the
+    squared distance to the anchor and its mined pair. Returns (loss, grads).
+    """
+    units, total, grads = 0, 0.0, []
+    for vectors in branch_vectors:
+        rows = naive_hard_mine(naive_pairwise_sq_dist(vectors), ids)
+        grad = np.zeros_like(vectors)
+        for a, row in enumerate(rows):
+            if not row["valid"]:
+                continue
+            units += 1
+            mp, mn = row["max_pos"], row["min_neg"]
+            if isinstance(weighting, str):
+                w = 1.0 / (1.0 + math.exp(-mp / (mn + 1.0)))
+            else:
+                w = weighting[a]
+            hinge = eta + mp - mn
+            if hinge <= 0.0:
+                continue
+            total += w * hinge
+            d_mp, d_mn = w, -w
+            if weighting == "sigmoid":
+                d_mp += hinge * w * (1.0 - w) / (mn + 1.0)
+                d_mn -= hinge * w * (1.0 - w) * mp / (mn + 1.0) ** 2
+            p, q = row["pos_idx"], row["neg_idx"]
+            for d in range(vectors.shape[1]):
+                pos = 2.0 * (vectors[a][d] - vectors[p][d])
+                neg = 2.0 * (vectors[a][d] - vectors[q][d])
+                grad[a][d] += d_mp * pos + d_mn * neg
+                grad[p][d] -= d_mp * pos
+                grad[q][d] -= d_mn * neg
+        grads.append(grad)
+    return total / units, [g / units for g in grads]
+
+
 def naive_evaluate(q_desc, q_ids, q_cams, g_desc, g_ids, g_cams, ks,
                    dist=None):
     """Explicit-loop CMC / mAP with same-id same-camera junk filtering.

@@ -78,6 +78,13 @@ class TestRunConfig:
         c = run_config_from_dict(micro_config(tmp_path, seed=1))
         assert config_hash(a) != config_hash(c)
 
+    def test_float_field_accepts_int(self, tmp_path):
+        doc = micro_config(tmp_path)
+        doc["model"]["eta"] = 2
+        doc["data"]["noise_sigma"] = 1
+        cfg = run_config_from_dict(doc)
+        assert cfg.model.eta == 2 and cfg.data.noise_sigma == 1
+
     def test_seed_override(self, config_path):
         cfg = load_run_config(config_path, seed_override=7)
         assert cfg.data.seed == 7 and cfg.model.seed == 7
@@ -139,6 +146,22 @@ class TestTrainCommand:
         path.write_text(json.dumps(doc))
         assert main(["train", "--config", str(path)]) == 1
         assert_one_config_error_line(capsys, "keep_branches=9")
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("model", "epochs", "x"), ("model", "eta", "3"),
+        ("model", "batch_p", True), ("model", "epochs", 3.0),
+        ("model", "decay_epochs", 3), ("model", "use_resblock", 1),
+        ("data", "num_ids", "x"), ("data", "num_ids", 6.0),
+        ("data", "noise_sigma", None), ("eval", "k1", 2.5),
+    ])
+    def test_wrongly_typed_value_exit_1(self, tmp_path, capsys, section, key,
+                                        value):
+        doc = micro_config(tmp_path)
+        doc[section][key] = value
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        assert main(["train", "--config", str(path)]) == 1
+        assert_one_config_error_line(capsys, f"{key} must be of type")
 
     def test_drop_rate_out_of_range_exit_1(self, tmp_path, capsys):
         doc = micro_config(tmp_path)
@@ -214,6 +237,38 @@ class TestEvalCommand:
                      str(tmp_path / "absent.json")])
         assert code == 1
         assert_one_config_error_line(capsys, "absent.json")
+
+    @pytest.mark.parametrize("damage", ["config", "params", "shape", "data",
+                                        "values"])
+    def test_damaged_checkpoint_exit_1(self, tmp_path, config_path, capsys,
+                                       damage):
+        main(["train", "--config", str(config_path)])
+        path = tmp_path / "run" / "checkpoint.json"
+        blob = json.loads(path.read_text())
+        if damage in ("config", "params"):
+            del blob[damage]
+        elif damage == "values":
+            blob["params"]["emb_w"]["data"] = ["x"]
+        else:
+            del blob["params"]["emb_w"][damage]
+        path.write_text(json.dumps(blob))
+        capsys.readouterr()
+        code = main(["eval", "--config", str(config_path), "--checkpoint",
+                     str(path)])
+        assert code == 1
+        assert_one_config_error_line(
+            capsys, "emb_w" if damage == "values" else damage)
+
+    def test_checkpoint_grid_mismatch_exit_1(self, tmp_path, config_path,
+                                             capsys):
+        main(["train", "--config", str(config_path)])
+        other = tmp_path / "other.json"
+        other.write_text(json.dumps(micro_config(tmp_path / "o", width=4)))
+        capsys.readouterr()
+        code = main(["eval", "--config", str(other), "--checkpoint",
+                     str(tmp_path / "run" / "checkpoint.json")])
+        assert code == 1
+        assert_one_config_error_line(capsys, "checkpoint grid")
 
 
 class TestGradcheckCommand:

@@ -3,8 +3,7 @@ import pytest
 
 from oracles import nearest_neighbor_id_accuracy
 
-from elasticdrop.data_synth import (SynthConfig, dump_dataset, generate,
-                                    load_dataset, occlude, pk_batches,
+from elasticdrop.data_synth import (SynthConfig, generate, occlude, pk_batches,
                                     stack_images)
 from elasticdrop.errors import ConfigError
 
@@ -154,15 +153,3 @@ class TestPkBatches:
         with pytest.raises(ConfigError):
             pk_batches(ids, p=2, k=2, seed=0)
 
-
-class TestDump:
-    def test_roundtrip(self, tmp_path):
-        cfg = SynthConfig(seed=4, num_ids=2, samples_per_id=5, height=4,
-                          width=2, channels=3, part_count=2)
-        ds = generate(cfg)
-        manifest = dump_dataset(ds, tmp_path / "dump")
-        splits = load_dataset(manifest, height=4, width=2, channels=3)
-        assert len(splits["train"]) == len(ds.train)
-        for orig, loaded in zip(ds.train, splits["train"]):
-            assert np.allclose(orig.image, loaded.image, atol=1e-15)
-            assert orig.id == loaded.id and orig.camera == loaded.camera

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from oracles import naive_hard_mine, naive_pairwise_sq_dist
+from oracles import naive_hard_mine, naive_metric_loss, naive_pairwise_sq_dist
 
 from elasticdrop.elastic_loss import (DescriptorBatch, ElasticParams, HardPairs,
+                                      _metric_loss,
                                       batch_elastic_loss, batch_hard_mine,
                                       batch_hard_triplet_loss,
                                       elastic_triplet_loss, elastic_weight,
@@ -313,6 +314,37 @@ class TestBatchElasticLoss:
             total += np.where(hard.valid & (raw > 0), raw, 0.0).sum()
             units += int(hard.valid.sum())
         assert plain == pytest.approx(total / units, rel=1e-12)
+
+
+class TestMetricLossCore:
+    @pytest.mark.parametrize("branches", [1, 3])
+    @pytest.mark.parametrize("weighting", ["sigmoid", "detached", "fixed",
+                                           "per_anchor"])
+    @pytest.mark.parametrize("integer_ties", [False, True])
+    def test_matches_per_anchor_oracle(self, weighting, branches, integer_ties):
+        rng = np.random.default_rng(71)
+        ids = np.array([0, 0, 1, 1, 1, 2, 2, 3, 0, 2])
+        if integer_ties:
+            # small integer coordinates: many equal distances, so mining
+            # must break every tie toward the lowest index in both
+            vectors = [rng.integers(-1, 2, size=(10, 3)).astype(float)
+                       for _ in range(branches)]
+        else:
+            vectors = [rng.normal(size=(10, 4)) for _ in range(branches)]
+        if weighting == "fixed":
+            core_w, oracle_w = 1.0, [1.0] * 10
+        elif weighting == "per_anchor":
+            core_w = rng.uniform(0.5, 1.0, size=10)
+            oracle_w = list(core_w)
+        else:
+            core_w = oracle_w = weighting
+        loss, grads = _metric_loss([make_batch(v, ids) for v in vectors],
+                                   2.0, core_w)
+        want, want_grads = naive_metric_loss(vectors, ids, 2.0, oracle_w)
+        assert loss > 0.0
+        assert abs(loss - want) <= 1e-12
+        for got, ref in zip(grads, want_grads):
+            assert np.abs(got - ref).max() <= 1e-12
 
 
 class TestDescriptorBatch:

@@ -1,4 +1,5 @@
 import copy
+import json
 
 import numpy as np
 import pytest
@@ -6,7 +7,9 @@ import pytest
 from oracles import naive_forward_train
 
 from elasticdrop.data_synth import SynthConfig, generate
-from elasticdrop.dropmask import DropBlock, NoDrop, OverlapRowDrop, UniformRowDrop
+from elasticdrop.dropmask import (BatchDropBlock, BatchDropout, DropBlock,
+                                  ElementDropout, NoDrop, OverlapRowDrop,
+                                  SpatialDropout, UniformRowDrop)
 from elasticdrop.elastic_loss import DescriptorBatch, ElasticParams, \
     batch_elastic_loss
 from elasticdrop.errors import ConfigError, DegenerateBatchError, ShapeError
@@ -384,9 +387,17 @@ class TestCheckpoint:
 
 
 class TestConfigSerialization:
-    def test_roundtrip(self):
-        config = tiny_config(use_global_branch=True, detach_weight=True)
-        assert config_from_dict(config_to_dict(config)) == config
+    @pytest.mark.parametrize("scheme", [
+        UniformRowDrop(m=2), OverlapRowDrop(patch_h=2, overlap=1), NoDrop(),
+        ElementDropout(rate=0.25), SpatialDropout(rate=0.25),
+        BatchDropout(rate=0.25), DropBlock(block_h=2, block_w=1, rate=0.5),
+        BatchDropBlock(rows_fraction=0.25),
+    ], ids=lambda s: type(s).__name__)
+    def test_roundtrip(self, scheme):
+        config = tiny_config(use_global_branch=True, detach_weight=True,
+                             drop_scheme=scheme)
+        doc = json.loads(json.dumps(config_to_dict(config)))
+        assert config_from_dict(doc) == config
 
     def test_unknown_key_rejected(self):
         doc = config_to_dict(tiny_config())
@@ -415,6 +426,8 @@ class TestConfigSerialization:
         dict(keep_branches=2, branches=1, drop_scheme=NoDrop()),
         dict(keep_branches=4, drop_scheme=OverlapRowDrop(patch_h=2, overlap=1)),
         dict(drop_scheme=OverlapRowDrop(patch_h=5, overlap=1)),
+        dict(drop_scheme=DropBlock(block_h=5, block_w=1)),
+        dict(eta=0.0),
     ])
     def test_schedule_checked_on_construction(self, over):
         with pytest.raises(ConfigError):
