@@ -25,8 +25,8 @@ import numpy as np
 from . import __version__
 from .data_synth import SynthConfig, generate, stack_images
 from .dropmask import (BatchDropBlock, BatchDropout, DropBlock, ElementDropout,
-                       NoDrop, SpatialDropout, UniformRowDrop, drop_patch_mask,
-                       overlap_row_partition, uniform_row_partition)
+                       NoDrop, OverlapRowDrop, SpatialDropout, UniformRowDrop,
+                       branch_masks)
 from .errors import ConfigError, NumericError
 from .gradcheck import run_gradient_checks
 from .model import (ModelConfig, ModelParams, check_fields, config_from_dict,
@@ -46,6 +46,11 @@ class EvalConfig:
     k2: int = 6
     lambda_value: float = 0.3
 
+    def __post_init__(self):
+        if not self.ks or min(self.ks) < 1:
+            raise ConfigError(f"EvalConfig: ks must be non-empty positive "
+                              f"ranks, got {list(self.ks)}")
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -63,7 +68,10 @@ def run_config_from_dict(doc: dict) -> RunConfig:
     """Build a RunConfig; model grid shape and class count come from data.
 
     Every section goes through ``check_fields``: unknown keys and values
-    of the wrong json type are configuration errors.
+    of the wrong json type are configuration errors. The model section may
+    also carry ``branches``, which is input only: alone it is shorthand for
+    the uniform scheme with ``m = branches``; next to a drop scheme it must
+    equal the branch count that scheme defines.
     """
     check_fields(RunConfig, doc, "run config")
     data_doc = doc.get("data", {})
@@ -71,17 +79,24 @@ def run_config_from_dict(doc: dict) -> RunConfig:
     data = SynthConfig(**data_doc)
 
     model_doc = doc.get("model", {})
+    branches = None
+    if isinstance(model_doc, dict) and "branches" in model_doc:
+        model_doc = dict(model_doc)
+        branches = model_doc.pop("branches")
+        model_doc.setdefault("drop_scheme", {"kind": "uniform", "m": branches})
     check_fields(ModelConfig, model_doc, "config section 'model'")
     bad = set(model_doc) & _DERIVED_MODEL_KEYS
     if bad:
         raise ConfigError(
             f"config section 'model': keys {sorted(bad)} are derived from 'data'")
-    if "branches" in model_doc and "drop_scheme" not in model_doc:
-        model_doc = {**model_doc,
-                     "drop_scheme": {"kind": "uniform", "m": model_doc["branches"]}}
     model = config_from_dict({**model_doc, "height": data.height,
                               "width": data.width, "in_channels": data.channels,
                               "num_classes": data.num_ids})
+    if branches is not None and (type(branches) is not int
+                                 or branches != model.scheme_branches):
+        raise ConfigError(
+            f"config section 'model': branches={branches!r} disagrees with "
+            f"the drop scheme's {model.scheme_branches} branches")
 
     eval_doc = doc.get("eval", {})
     check_fields(EvalConfig, eval_doc, "config section 'eval'")
@@ -127,6 +142,9 @@ def load_run_config(path, seed_override=None, out_override=None) -> RunConfig:
 
 def _descriptor_sets(params: ModelParams, model_cfg: ModelConfig, samples
                      ) -> QuerySet:
+    if not samples:
+        return QuerySet(np.zeros((0, model_cfg.embed_dim)),
+                        np.zeros(0, dtype=int), np.zeros(0, dtype=int))
     images, ids, cameras = stack_images(samples)
     descs = infer(images, params, model_cfg)
     return QuerySet(descriptors=descs, ids=ids, cameras=cameras)
@@ -153,30 +171,22 @@ def run_train_eval(cfg: RunConfig) -> tuple[ModelParams, list[dict], dict]:
     dataset = generate(cfg.data)
     params, log = train(dataset.train, cfg.model)
     gallery = _descriptor_sets(params, cfg.model, dataset.gallery)
-    clean = [s for s in dataset.query if not s.occluded]
-    occluded = [s for s in dataset.query if s.occluded]
-    metrics = {
-        "clean": _evaluate_sets(
-            _descriptor_sets(params, cfg.model, clean) if clean else
-            QuerySet(np.zeros((0, cfg.model.embed_dim)), np.zeros(0, dtype=int),
-                     np.zeros(0, dtype=int)),
-            gallery, cfg.eval).to_dict(),
-        "occluded": _evaluate_sets(
-            _descriptor_sets(params, cfg.model, occluded) if occluded else
-            QuerySet(np.zeros((0, cfg.model.embed_dim)), np.zeros(0, dtype=int),
-                     np.zeros(0, dtype=int)),
-            gallery, cfg.eval).to_dict(),
-    }
+    metrics = {}
+    for split, occluded in (("clean", False), ("occluded", True)):
+        samples = [s for s in dataset.query if s.occluded is occluded]
+        query = _descriptor_sets(params, cfg.model, samples)
+        metrics[split] = _evaluate_sets(query, gallery, cfg.eval).to_dict()
     return params, log, metrics
 
 
-def _write_train_log(path: Path, log: list[dict], chash: str) -> None:
+def _write_csv(path: Path, fieldnames: list[str], rows: list[dict],
+               chash: str) -> None:
+    """Csv led by a ``# config_hash=`` line; floats keep every digit."""
     with path.open("w", newline="") as fh:
         fh.write(f"# config_hash={chash}\n")
-        writer = csv.DictWriter(
-            fh, fieldnames=["epoch", "lr", "elastic_loss", "ce_loss", "total_loss"])
+        writer = csv.DictWriter(fh, fieldnames=fieldnames)
         writer.writeheader()
-        for row in log:
+        for row in rows:
             writer.writerow({k: repr(v) if isinstance(v, float) else v
                              for k, v in row.items()})
 
@@ -190,7 +200,9 @@ def cmd_train(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     params, log, metrics = run_train_eval(cfg)
     save_checkpoint(out_dir / "checkpoint.json", params, cfg.model, chash)
-    _write_train_log(out_dir / "train_log.csv", log, chash)
+    _write_csv(out_dir / "train_log.csv",
+               ["epoch", "lr", "elastic_loss", "ce_loss", "total_loss"], log,
+               chash)
     doc = {"config_hash": chash, **metrics}
     (out_dir / "metrics.json").write_text(json.dumps(doc, sort_keys=True,
                                                      indent=2) + "\n")
@@ -304,13 +316,12 @@ def _mask_lines(masks, height, width, scheme_desc) -> list[str]:
 
 def cmd_masks(args) -> int:
     if args.scheme == "uniform":
-        part = uniform_row_partition(args.height, args.m)
+        scheme = UniformRowDrop(m=args.m)
         desc = f"uniform(m={args.m})"
     else:
-        part = overlap_row_partition(args.height, args.patch_h, args.overlap)
+        scheme = OverlapRowDrop(patch_h=args.patch_h, overlap=args.overlap)
         desc = f"overlap(patch_h={args.patch_h}, overlap={args.overlap})"
-    masks = [drop_patch_mask(part, i, args.width)
-             for i in range(1, part.branch_count + 1)]
+    masks = branch_masks(scheme, args.height, args.width)
     lines = _mask_lines(masks, args.height, args.width, desc)
     print("\n".join(lines))
     if args.out:
@@ -332,9 +343,12 @@ def cmd_masks(args) -> int:
 ABLATION_SEEDS = 5
 
 
-def _grid_rows(cfg: RunConfig, variants: list[tuple[str, ModelConfig]],
-               ks_key: int) -> list[dict]:
-    """Run each variant over the shared seed set and collect metric rows."""
+def _run_grid(cfg: RunConfig, variants: list[tuple[str, ModelConfig]]) -> int:
+    """Run each variant over the shared seed set and write ``ablation.csv``.
+
+    The ``rank1_*`` columns hold the smallest configured rank.
+    """
+    ks_key = min(cfg.eval.ks)
     rows = []
     for name, model_cfg in variants:
         per_seed = []
@@ -352,45 +366,29 @@ def _grid_rows(cfg: RunConfig, variants: list[tuple[str, ModelConfig]],
             }
             rows.append(row)
             per_seed.append(row)
-        for stat, fn in (("mean", statistics.fmean), ("stddev", _stddev)):
+        for stat, fn in (("mean", statistics.fmean),
+                         ("stddev", statistics.pstdev)):
             rows.append({
                 "variant": name, "seed": stat,
                 **{col: fn([r[col] for r in per_seed])
                    for col in ("rank1_clean", "map_clean", "rank1_occluded",
                                "map_occluded")},
             })
-    return rows
-
-
-def _stddev(values):
-    return statistics.pstdev(values) if len(values) > 1 else 0.0
-
-
-def _write_ablation_csv(out_dir: Path, rows: list[dict], chash: str) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / "ablation.csv"
-    with path.open("w", newline="") as fh:
-        fh.write(f"# config_hash={chash}\n")
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: repr(v) if isinstance(v, float) else v
-                             for k, v in row.items()})
+    path = Path(cfg.output_dir) / "ablation.csv"
+    path.parent.mkdir(parents=True, exist_ok=True)
+    _write_csv(path, list(rows[0]), rows, config_hash(cfg))
     print(f"wrote {path}")
-
-
-def _base_rank_k(cfg: RunConfig) -> int:
-    return cfg.eval.ks[0]
+    return 0
 
 
 def cmd_ablate_dropout(args) -> int:
     """Side-by-side dropout strategies under a shared seed set and schedule."""
     cfg = load_run_config(args.config, args.seed, args.out)
-    m = cfg.model.branches
+    m = cfg.model.scheme_branches
     h = cfg.model.height
 
     def single(scheme):
-        return replace(cfg.model, branches=1, drop_scheme=scheme)
+        return replace(cfg.model, drop_scheme=scheme)
 
     variants = [
         ("element_dropout", single(ElementDropout(rate=0.25))),
@@ -401,9 +399,7 @@ def cmd_ablate_dropout(args) -> int:
         ("batch_dropblock", single(BatchDropBlock(rows_fraction=1.0 / m))),
         ("consecutive", cfg.model),
     ]
-    rows = _grid_rows(cfg, variants, _base_rank_k(cfg))
-    _write_ablation_csv(Path(cfg.output_dir), rows, config_hash(cfg))
-    return 0
+    return _run_grid(cfg, variants)
 
 
 def cmd_ablate_branches(args) -> int:
@@ -412,19 +408,17 @@ def cmd_ablate_branches(args) -> int:
     if not isinstance(cfg.model.drop_scheme, UniformRowDrop):
         raise ConfigError("ablate-branches requires the uniform drop scheme")
     variants = []
-    for m_prime in range(1, cfg.model.branches + 1):
+    for m_prime in range(1, cfg.model.drop_scheme.m + 1):
         variants.append((f"m_prime={m_prime}",
                          replace(cfg.model, keep_branches=m_prime)))
-    rows = _grid_rows(cfg, variants, _base_rank_k(cfg))
-    _write_ablation_csv(Path(cfg.output_dir), rows, config_hash(cfg))
-    return 0
+    return _run_grid(cfg, variants)
 
 
 def cmd_ablate_components(args) -> int:
     """Component grid: no-drop/plain-triplet baseline up to the full model."""
     cfg = load_run_config(args.config, args.seed, args.out)
     full = cfg.model
-    no_drop = replace(full, branches=1, drop_scheme=NoDrop())
+    no_drop = replace(full, drop_scheme=NoDrop())
     variants = [
         ("baseline", replace(no_drop, loss="triplet")),
         ("elastic_only", replace(no_drop, loss="elastic")),
@@ -433,9 +427,7 @@ def cmd_ablate_components(args) -> int:
         ("full", full),
         ("with_global", replace(full, use_global_branch=True)),
     ]
-    rows = _grid_rows(cfg, variants, _base_rank_k(cfg))
-    _write_ablation_csv(Path(cfg.output_dir), rows, config_hash(cfg))
-    return 0
+    return _run_grid(cfg, variants)
 
 
 # --- argument parsing ----------------------------------------------------------

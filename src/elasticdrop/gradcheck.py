@@ -123,7 +123,7 @@ def check_batch_elastic(seed=0, trials=10, m=3) -> float:
 
 def tiny_model_config() -> ModelConfig:
     return ModelConfig(height=4, width=2, in_channels=2, feat_channels=3,
-                       embed_dim=2, branches=2, num_classes=2,
+                       embed_dim=2, num_classes=2,
                        drop_scheme=UniformRowDrop(m=2), batch_p=2, batch_k=2,
                        epochs=1, seed=0)
 
@@ -144,7 +144,7 @@ def model_variants() -> dict[str, ModelConfig]:
         "model_global_branch": replace(base, use_global_branch=True),
         "model_overlap": replace(base, drop_scheme=OverlapRowDrop(patch_h=2,
                                                                   overlap=1)),
-        "model_dropblock": replace(base, branches=1, use_global_branch=True,
+        "model_dropblock": replace(base, use_global_branch=True,
                                    drop_scheme=DropBlock(block_h=2, block_w=1)),
     }
 

@@ -25,8 +25,9 @@ folds every branch into one per-cell gradient
 ``sum_b keep_b[cell] * d_pooled_b / (H W)`` and runs one residual backward;
 res_b also collects ``sum_b dropped_b * sum_n d_pooled_b / (H W)`` where
 ``res_b > 0``, the share of the constant cells. Inference is this path
-with one all-ones keep row, the global branch. The randomized baselines draw per-sample, per-channel masks and keep the plain
-path: mask, residual layer, pool and backward for that branch alone.
+with one all-ones keep row, the global branch. The randomized baselines
+draw per-sample, per-channel masks and keep the plain path: mask, residual
+layer, pool and backward for that branch alone.
 
 All backward passes are explicit and accumulate into ParamTensor.grad;
 training is plain Adam with linear warmup and staged decay, fully
@@ -65,7 +66,6 @@ class ModelConfig:
     in_channels: int = 6
     feat_channels: int = 32
     embed_dim: int = 16
-    branches: int = 4
     num_classes: int = 30
     eta: float = 3.0
     detach_weight: bool = False
@@ -86,23 +86,16 @@ class ModelConfig:
 
     def __post_init__(self):
         if min(self.height, self.width, self.in_channels, self.feat_channels,
-               self.embed_dim, self.branches) < 1:
+               self.embed_dim) < 1:
             raise ConfigError("ModelConfig: dimensions must be positive")
         if self.num_classes < 2:
             raise ConfigError("ModelConfig: need at least 2 classes")
         if self.loss not in LOSS_MODES:
             raise ConfigError(f"ModelConfig: loss must be one of {LOSS_MODES}")
-        if not self.eta > 0:
-            raise ConfigError(f"ModelConfig: eta must be positive, got {self.eta}")
-        if isinstance(self.drop_scheme, UniformRowDrop):
-            if self.drop_scheme.m != self.branches:
-                raise ConfigError(
-                    f"ModelConfig: branches={self.branches} disagrees with "
-                    f"uniform scheme m={self.drop_scheme.m}")
-            if self.height % self.branches != 0:
-                raise ConfigError(
-                    f"ModelConfig: branches={self.branches} must divide "
-                    f"height={self.height}")
+        for name in ("eta", "base_lr", "decay_factor"):
+            if not getattr(self, name) > 0:
+                raise ConfigError(f"ModelConfig: {name} must be positive, "
+                                  f"got {getattr(self, name)}")
         if self.epochs < 0 or self.warmup_epochs < 0:
             raise ConfigError("ModelConfig: epochs must be non-negative")
         if self.batch_p < 2 or self.batch_k < 2:
@@ -110,8 +103,8 @@ class ModelConfig:
         if self.keep_branches is not None and self.keep_branches < 1:
             raise ConfigError("ModelConfig: keep_branches must be >= 1")
         if not isinstance(self.drop_scheme, dropmask.RANDOM_KINDS):
-            count = len(dropmask.branch_masks(self.drop_scheme, self.height,
-                                              self.width))
+            # building the schedule raises when it does not fit the grid
+            count = self.scheme_branches
             if self.keep_branches is not None and self.keep_branches > count:
                 raise ConfigError(
                     f"ModelConfig: keep_branches={self.keep_branches} exceeds "
@@ -123,6 +116,15 @@ class ModelConfig:
                 f"ModelConfig: DropBlock block {self.drop_scheme.block_h}x"
                 f"{self.drop_scheme.block_w} exceeds the map "
                 f"{self.height}x{self.width}")
+
+    @property
+    def scheme_branches(self) -> int:
+        """Branches the drop scheme defines: the fixed schedule's length, 1 for
+        a randomized kind; the global branch is not counted."""
+        if isinstance(self.drop_scheme, dropmask.RANDOM_KINDS):
+            return 1
+        return len(dropmask.branch_masks(self.drop_scheme, self.height,
+                                         self.width))
 
 
 @dataclass
@@ -463,7 +465,7 @@ def train(samples: list[Sample], config: ModelConfig
 
 # --- checkpoint (versioned json; textual floats round-trip exactly) --------
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 _DROP_SCHEMES = {

@@ -189,8 +189,7 @@ def test_criterion_7_desk_scale_trend():
     base = run_config_from_dict(TREND_CONFIG)
     variants = {
         "drop_elastic": base.model,
-        "nodrop_elastic": replace(base.model, branches=1,
-                                  drop_scheme=NoDrop()),
+        "nodrop_elastic": replace(base.model, drop_scheme=NoDrop()),
         "drop_triplet": replace(base.model, loss="triplet"),
     }
     rank1 = {name: [] for name in variants}

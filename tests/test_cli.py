@@ -1,3 +1,4 @@
+import copy
 import csv
 import json
 from pathlib import Path
@@ -77,6 +78,32 @@ class TestRunConfig:
         assert config_hash(a) == config_hash(b)
         c = run_config_from_dict(micro_config(tmp_path, seed=1))
         assert config_hash(a) != config_hash(c)
+
+    def test_hash_ignores_agreeing_branches(self, tmp_path):
+        doc = micro_config(tmp_path)
+        with_branches = config_hash(run_config_from_dict(doc))
+        shorthand = copy.deepcopy(doc)
+        del shorthand["model"]["drop_scheme"]
+        del doc["model"]["branches"]
+        assert config_hash(run_config_from_dict(doc)) == with_branches
+        assert config_hash(run_config_from_dict(shorthand)) == with_branches
+
+    @pytest.mark.parametrize("name, model", [
+        ("train_consecutive",
+         {"branches": 4, "drop_scheme": {"kind": "uniform", "m": 4},
+          "loss": "elastic"}),
+        ("train_dropblock_triplet",
+         {"branches": 1, "loss": "triplet",
+          "drop_scheme": {"kind": "dropblock", "block_h": 2, "block_w": 2}}),
+    ])
+    def test_benchmark_model_sections_parse(self, tmp_path, name, model):
+        # the model sections of perfbench.workloads.train_config
+        doc = micro_config(tmp_path, height=8, width=4)
+        doc["model"] = {"feat_channels": 64, "embed_dim": 32, "epochs": 50,
+                        "warmup_epochs": 5, "decay_epochs": [30, 42],
+                        "seed": 1, **model}
+        cfg = run_config_from_dict(doc)
+        assert cfg.model.scheme_branches == model["branches"]
 
     def test_float_field_accepts_int(self, tmp_path):
         doc = micro_config(tmp_path)
@@ -163,6 +190,31 @@ class TestTrainCommand:
         assert main(["train", "--config", str(path)]) == 1
         assert_one_config_error_line(capsys, f"{key} must be of type")
 
+    @pytest.mark.parametrize("scheme", [
+        {"kind": "uniform", "m": 2},
+        {"kind": "overlap", "patch_h": 2, "overlap": 1},
+        {"kind": "dropblock", "block_h": 2, "block_w": 1},
+    ], ids=lambda s: s["kind"])
+    def test_branch_scheme_consistency_enforced(self, tmp_path, capsys,
+                                                scheme):
+        # uniform m=2 and dropblock define 2 and 1 branches, overlap 3
+        doc = micro_config(tmp_path)
+        doc["model"].update(branches=4, drop_scheme=scheme)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        assert main(["train", "--config", str(path)]) == 1
+        assert_one_config_error_line(capsys, "branches=4")
+
+    @pytest.mark.parametrize("key, value", [("base_lr", -1),
+                                            ("decay_factor", -0.5)])
+    def test_non_positive_rate_exit_1(self, tmp_path, capsys, key, value):
+        doc = micro_config(tmp_path)
+        doc["model"][key] = value
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        assert main(["train", "--config", str(path)]) == 1
+        assert_one_config_error_line(capsys, f"{key} must be positive")
+
     def test_drop_rate_out_of_range_exit_1(self, tmp_path, capsys):
         doc = micro_config(tmp_path)
         doc["model"].update(branches=1, drop_scheme={"kind": "element_dropout",
@@ -239,7 +291,7 @@ class TestEvalCommand:
         assert_one_config_error_line(capsys, "absent.json")
 
     @pytest.mark.parametrize("damage", ["config", "params", "shape", "data",
-                                        "values"])
+                                        "values", "version"])
     def test_damaged_checkpoint_exit_1(self, tmp_path, config_path, capsys,
                                        damage):
         main(["train", "--config", str(config_path)])
@@ -249,6 +301,10 @@ class TestEvalCommand:
             del blob[damage]
         elif damage == "values":
             blob["params"]["emb_w"]["data"] = ["x"]
+        elif damage == "version":
+            # format 1 stored the branch count next to the drop scheme
+            blob["format_version"] = 1
+            blob["config"]["branches"] = 2
         else:
             del blob["params"]["emb_w"][damage]
         path.write_text(json.dumps(blob))
@@ -347,6 +403,27 @@ class TestAblationCommands:
         assert code == 0
         rows = read_ablation(tmp_path / "run" / "ablation.csv")
         assert {r["variant"] for r in rows} == {"m_prime=1", "m_prime=2"}
+
+    @pytest.mark.parametrize("command", ["ablate-branches", "ablate-components",
+                                         "ablate-dropout"])
+    def test_empty_ks_exit_1(self, tmp_path, capsys, command):
+        doc = micro_config(tmp_path / "run")
+        doc["eval"]["ks"] = []
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        assert main([command, "--config", str(path)]) == 1
+        assert_one_config_error_line(capsys, "ks")
+
+    def test_rank1_columns_use_smallest_k(self, tmp_path):
+        doc = micro_config(tmp_path)
+        for ks in ([1, 5], [5, 1]):
+            doc["eval"]["ks"] = ks
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(doc))
+            assert main(["ablate-branches", "--config", str(path), "--out",
+                         str(tmp_path / str(ks[0]))]) == 0
+        assert read_ablation(tmp_path / "5" / "ablation.csv") == \
+            read_ablation(tmp_path / "1" / "ablation.csv")
 
     def test_grid_deterministic(self, tmp_path, config_path):
         main(["ablate-branches", "--config", str(config_path), "--out",

@@ -24,7 +24,7 @@ from elasticdrop.numerics import softmax_cross_entropy
 
 def tiny_config(**over):
     base = dict(height=4, width=2, in_channels=2, feat_channels=3,
-                embed_dim=2, branches=2, num_classes=2,
+                embed_dim=2, num_classes=2,
                 drop_scheme=UniformRowDrop(m=2), batch_p=2, batch_k=2,
                 epochs=2, warmup_epochs=1, decay_epochs=(2,), seed=0)
     base.update(over)
@@ -56,7 +56,7 @@ class TestEncode:
 
     def test_trivial_dims_match_scalar_network(self):
         config = ModelConfig(height=1, width=1, in_channels=1, feat_channels=1,
-                             embed_dim=1, branches=1, num_classes=2,
+                             embed_dim=1, num_classes=2,
                              drop_scheme=UniformRowDrop(m=1))
         params = init_params(config)
         x = 0.7
@@ -75,7 +75,7 @@ class TestEncode:
 
 class TestForwardTrain:
     def test_single_branch_no_drop_reduction(self):
-        config = tiny_config(branches=1, drop_scheme=NoDrop())
+        config = tiny_config(drop_scheme=NoDrop())
         params = init_params(config)
         images, ids = tiny_inputs(config)
         total, out = forward_train(images, ids, params, config)
@@ -94,7 +94,7 @@ class TestForwardTrain:
         # 24 x 8 map with six branches produces six descriptors of width 512
         # (feature width scaled down to keep the trace fast)
         config = ModelConfig(height=24, width=8, in_channels=4,
-                             feat_channels=16, embed_dim=512, branches=6,
+                             feat_channels=16, embed_dim=512,
                              num_classes=2, drop_scheme=UniformRowDrop(m=6))
         params = init_params(config)
         images, ids = tiny_inputs(config)
@@ -175,7 +175,7 @@ class TestForwardTrain:
 
     def test_randomized_scheme_needs_rng(self):
         from elasticdrop.dropmask import ElementDropout
-        config = tiny_config(branches=1, drop_scheme=ElementDropout(0.3))
+        config = tiny_config(drop_scheme=ElementDropout(0.3))
         params = init_params(config)
         images, ids = tiny_inputs(config)
         with pytest.raises(ConfigError):
@@ -200,11 +200,10 @@ def oracle_config(**over):
 
 SHARED_TRUNK_VARIANTS = {
     "uniform_m2": {},
-    "uniform_m4": dict(branches=4, drop_scheme=UniformRowDrop(m=4)),
+    "uniform_m4": dict(drop_scheme=UniformRowDrop(m=4)),
     "overlap": dict(drop_scheme=OverlapRowDrop(patch_h=3, overlap=1)),
-    "none": dict(branches=1, drop_scheme=NoDrop()),
-    "keep_branches": dict(branches=4, drop_scheme=UniformRowDrop(m=4),
-                          keep_branches=3),
+    "none": dict(drop_scheme=NoDrop()),
+    "keep_branches": dict(drop_scheme=UniformRowDrop(m=4), keep_branches=3),
     "global_branch": dict(use_global_branch=True),
     "no_resblock": dict(use_resblock=False),
     "triplet": dict(loss="triplet"),
@@ -249,7 +248,7 @@ class TestSharedTrunkOracle:
 
     @pytest.mark.parametrize("global_branch", [False, True])
     def test_randomized_mask_exact(self, global_branch):
-        config = oracle_config(branches=1, use_global_branch=global_branch,
+        config = oracle_config(use_global_branch=global_branch,
                                drop_scheme=DropBlock(block_h=2, block_w=2))
         for seed in range(3):
             (total, ref_total), descs, grads = run_against_oracle(config, seed)
@@ -413,21 +412,19 @@ class TestConfigSerialization:
         with pytest.raises(ConfigError):
             scheme_from_dict({"kind": "uniform", "m": 2, "x": 1})
 
-    def test_branch_scheme_consistency_enforced(self):
-        with pytest.raises(ConfigError):
-            tiny_config(branches=3)  # m=2 scheme disagrees
-
     def test_uniform_divisibility_enforced(self):
         with pytest.raises(ConfigError):
-            tiny_config(branches=3, drop_scheme=UniformRowDrop(m=3))
+            tiny_config(drop_scheme=UniformRowDrop(m=3))
 
     @pytest.mark.parametrize("over", [
         dict(keep_branches=3),
-        dict(keep_branches=2, branches=1, drop_scheme=NoDrop()),
+        dict(keep_branches=2, drop_scheme=NoDrop()),
         dict(keep_branches=4, drop_scheme=OverlapRowDrop(patch_h=2, overlap=1)),
         dict(drop_scheme=OverlapRowDrop(patch_h=5, overlap=1)),
         dict(drop_scheme=DropBlock(block_h=5, block_w=1)),
         dict(eta=0.0),
+        dict(base_lr=-1.0),
+        dict(decay_factor=-0.5),
     ])
     def test_schedule_checked_on_construction(self, over):
         with pytest.raises(ConfigError):
