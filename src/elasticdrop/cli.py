@@ -259,6 +259,11 @@ def cmd_eval(args) -> int:
     if args.query_csv and args.gallery_csv:
         query = _load_embedding_csv(args.query_csv)
         gallery = _load_embedding_csv(args.gallery_csv)
+        widths = (query.descriptors.shape[1], gallery.descriptors.shape[1])
+        if widths[0] != widths[1]:
+            raise ConfigError(
+                f"query descriptors have {widths[0]} values per row, gallery "
+                f"descriptors {widths[1]}")
         metrics = {"all": _evaluate_sets(query, gallery, cfg.eval).to_dict()}
     elif args.checkpoint:
         params, model_cfg = load_checkpoint(args.checkpoint)
@@ -290,9 +295,11 @@ def _args_hash(**kwargs) -> str:
 
 
 def cmd_gradcheck(args) -> int:
-    report = run_gradient_checks(seed=args.seed or 0)
-    report["config_hash"] = _args_hash(seed=args.seed or 0,
-                                       trials=report["trials"])
+    seed = args.seed or 0
+    if seed < 0:
+        raise ConfigError(f"gradcheck: seed must be non-negative, got {seed}")
+    report = run_gradient_checks(seed=seed)
+    report["config_hash"] = _args_hash(seed=seed, trials=report["trials"])
     print(json.dumps(report, sort_keys=True, indent=2))
     if args.out:
         out_dir = Path(args.out)
@@ -386,6 +393,12 @@ def cmd_ablate_dropout(args) -> int:
     cfg = load_run_config(args.config, args.seed, args.out)
     m = cfg.model.scheme_branches
     h = cfg.model.height
+    # the baselines' block sizes come from the consecutive patch count
+    if not isinstance(cfg.model.drop_scheme, (UniformRowDrop, OverlapRowDrop)) \
+            or m < 2:
+        raise ConfigError(
+            f"ablate-dropout requires the uniform or overlap drop scheme with "
+            f"at least 2 branches, got {cfg.model.drop_scheme} with {m}")
 
     def single(scheme):
         return replace(cfg.model, drop_scheme=scheme)
@@ -418,7 +431,7 @@ def cmd_ablate_components(args) -> int:
     """Component grid: no-drop/plain-triplet baseline up to the full model."""
     cfg = load_run_config(args.config, args.seed, args.out)
     full = cfg.model
-    no_drop = replace(full, drop_scheme=NoDrop())
+    no_drop = replace(full, drop_scheme=NoDrop(), keep_branches=None)
     variants = [
         ("baseline", replace(no_drop, loss="triplet")),
         ("elastic_only", replace(no_drop, loss="elastic")),

@@ -42,6 +42,9 @@ class SynthConfig:
     occluded_query_prob: float = 0.5
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ConfigError(f"SynthConfig: seed must be non-negative, "
+                              f"got {self.seed}")
         if self.num_ids < 1 or self.samples_per_id < 2 or self.num_cameras < 1:
             raise ConfigError("SynthConfig: need >= 1 id, >= 2 samples/id, >= 1 camera")
         if min(self.height, self.width, self.channels, self.part_count) < 1:

@@ -26,8 +26,9 @@ folds every branch into one per-cell gradient
 res_b also collects ``sum_b dropped_b * sum_n d_pooled_b / (H W)`` where
 ``res_b > 0``, the share of the constant cells. Inference is this path
 with one all-ones keep row, the global branch. The randomized baselines
-draw per-sample, per-channel masks and keep the plain path: mask, residual
-layer, pool and backward for that branch alone.
+draw per-sample, per-channel masks: their branch multiplies the encoder
+cells by the mask, runs the same trunk with one all-ones keep row, and
+multiplies the trunk's encoder grad by the mask again.
 
 All backward passes are explicit and accumulate into ParamTensor.grad;
 training is plain Adam with linear warmup and staged decay, fully
@@ -100,6 +101,9 @@ class ModelConfig:
             raise ConfigError("ModelConfig: epochs must be non-negative")
         if self.batch_p < 2 or self.batch_k < 2:
             raise ConfigError("ModelConfig: need batch_p >= 2 and batch_k >= 2")
+        if self.seed < 0:
+            raise ConfigError(f"ModelConfig: seed must be non-negative, "
+                              f"got {self.seed}")
         if self.keep_branches is not None and self.keep_branches < 1:
             raise ConfigError("ModelConfig: keep_branches must be >= 1")
         if not isinstance(self.drop_scheme, dropmask.RANDOM_KINDS):
@@ -226,22 +230,18 @@ def encode(images, params: ModelParams, config: ModelConfig) -> Array:
     return feat.reshape(images.shape[:3] + (config.feat_channels,))
 
 
-def _resblock_forward(cells: Array, params: ModelParams):
-    """out = cells + relu(cells w + b); returns (out, pre-activation cache)."""
-    pre = linear_forward(cells, params.res_w, params.res_b)
-    return cells + relu_forward(pre), pre
-
-
 def _shared_forward(feat: Array, keep: Array, params: ModelParams,
                     config: ModelConfig):
-    """Pooled maps of every fixed-mask branch from one resblock pass.
+    """Pooled maps of B branches from one resblock pass over ``feat``.
 
-    ``feat`` holds the encoder's (N*H*W, C) cells, ``keep`` the (B, H*W)
-    keep rows; returns (B, N, C) pooled maps and the backward cache.
+    ``feat`` holds the (N*H*W, C) cells (the encoder's, or a randomized
+    branch's masked copy), ``keep`` the (B, H*W) keep rows; returns (B, N, C)
+    pooled maps and the backward cache.
     """
     cell_count = config.height * config.width
     if config.use_resblock:
-        y, res_pre = _resblock_forward(feat, params)
+        res_pre = linear_forward(feat, params.res_w, params.res_b)
+        y = feat + relu_forward(res_pre)
         dropped_cell = relu_forward(params.res_b.value)
     else:
         y, res_pre, dropped_cell = feat, None, 0.0
@@ -277,38 +277,6 @@ def _shared_backward(d_pooled: Array, cache: dict, params: ModelParams,
     return d_feat + d_y
 
 
-def _branch_forward(feat: Array, mask: Array, params: ModelParams,
-                    config: ModelConfig):
-    """Pooled map of a branch with a randomized (N, H, W, C) mask."""
-    cell_count = config.height * config.width
-    z = (feat.reshape(mask.shape) * mask).reshape(-1, config.feat_channels)
-    if config.use_resblock:
-        y, res_pre = _resblock_forward(z, params)
-    else:
-        y, res_pre = z, None
-    pooled = y.reshape(-1, cell_count, config.feat_channels).mean(axis=1)
-    return pooled, {"mask": mask, "z": z, "res_pre": res_pre}
-
-
-def _branch_backward(d_pooled: Array, cache: dict, params: ModelParams,
-                     config: ModelConfig) -> Array:
-    """Backward of ``_branch_forward``; returns the (N*H*W, C) encoder grad."""
-    cell_count = config.height * config.width
-    d_y = np.repeat(d_pooled[:, None, :] / cell_count, cell_count, axis=1)
-    d_y = d_y.reshape(-1, config.feat_channels)
-    if config.use_resblock:
-        d_res = relu_backward(cache["res_pre"], d_y)
-        d_z, gw, gb = linear_backward(cache["z"], params.res_w, d_res)
-        params.res_w.grad += gw
-        params.res_b.grad += gb
-        d_z += d_y
-    else:
-        d_z = d_y
-    d_z = d_z.reshape(cache["mask"].shape)
-    d_z *= cache["mask"]
-    return d_z.reshape(-1, config.feat_channels)
-
-
 def _head_backward(d_desc: Array, d_logits: Array, pooled: Array, desc: Array,
                    params: ModelParams) -> Array:
     """Embedding and classifier backward of one branch; returns d_pooled."""
@@ -337,25 +305,29 @@ def forward_train(images, ids, params: ModelParams, config: ModelConfig,
     if ids.shape != (n,):
         raise ShapeError(f"ids {ids.shape} vs {n} images")
 
-    random_mask = None
+    # trunk passes as (randomized mask or None, keep rows); the randomized
+    # branch comes first, then the fixed rows
+    passes = []
     if isinstance(config.drop_scheme, dropmask.RANDOM_KINDS):
         if rng is None:
             raise ConfigError("randomized drop scheme requires an rng")
-        random_mask = dropmask.baseline_mask(
+        mask = dropmask.baseline_mask(
             config.drop_scheme, config.height, config.width,
             config.feat_channels, rng, batch_size=n)
+        passes.append((mask.reshape(-1, config.feat_channels),
+                       np.ones((1, config.height * config.width))))
     keep = _fixed_keep_rows(config)
+    if keep is not None:
+        passes.append((None, keep))
 
     cells, a1, h1, feat = _encode_cells(images, params, config)
 
-    # branch order: the randomized branch (if any), then the fixed rows
-    pooled = []
-    if random_mask is not None:
-        p, random_cache = _branch_forward(feat, random_mask, params, config)
-        pooled.append(p)
-    if keep is not None:
-        p, shared_cache = _shared_forward(feat, keep, params, config)
+    pooled, caches = [], []
+    for mask, rows in passes:
+        p, cache = _shared_forward(feat if mask is None else feat * mask, rows,
+                                   params, config)
         pooled.extend(p)
+        caches.append(cache)
     descs = [linear_forward(p, params.emb_w, params.emb_b) for p in pooled]
     logits = [linear_forward(d, params.cls_w, params.cls_b) for d in descs]
 
@@ -375,16 +347,17 @@ def forward_train(images, ids, params: ModelParams, config: ModelConfig,
         d_logits.append(g)
     total = metric_loss + ce_total
 
-    d_pooled = [_head_backward(metric_grads[i], d_logits[i], pooled[i],
-                               descs[i], params) for i in range(len(descs))]
-    if random_mask is not None:
-        d_feat = _branch_backward(d_pooled[0], random_cache, params, config)
-        if keep is not None:
-            d_feat = d_feat + _shared_backward(np.stack(d_pooled[1:]),
-                                               shared_cache, params, config)
-    else:
-        d_feat = _shared_backward(np.stack(d_pooled), shared_cache, params,
-                                  config)
+    d_pooled = np.stack([_head_backward(metric_grads[i], d_logits[i], pooled[i],
+                                        descs[i], params)
+                         for i in range(len(descs))])
+    d_feat, start = None, 0
+    for (mask, rows), cache in zip(passes, caches):
+        d = _shared_backward(d_pooled[start:start + len(rows)], cache, params,
+                             config)
+        start += len(rows)
+        if mask is not None:
+            d *= mask
+        d_feat = d if d_feat is None else d_feat + d
     d_h1, gw, gb = linear_backward(h1, params.enc_w2, d_feat)
     params.enc_w2.grad += gw
     params.enc_b2.grad += gb

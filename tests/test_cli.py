@@ -224,6 +224,17 @@ class TestTrainCommand:
         assert main(["train", "--config", str(path)]) == 1
         assert_one_config_error_line(capsys, "1.5")
 
+    @pytest.mark.parametrize("where", ["flag", "data", "model"])
+    def test_negative_seed_exit_1(self, tmp_path, capsys, where):
+        doc = micro_config(tmp_path)
+        argv = ["--seed", "-1"] if where == "flag" else []
+        if where != "flag":
+            doc[where]["seed"] = -1
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        assert main(["train", "--config", str(path), *argv]) == 1
+        assert_one_config_error_line(capsys, "seed must be non-negative")
+
 
 class TestEvalCommand:
     def test_eval_checkpoint(self, tmp_path, config_path, capsys):
@@ -284,6 +295,21 @@ class TestEvalCommand:
         assert code == 1
         assert_one_config_error_line(capsys, "non-finite")
 
+    @pytest.mark.parametrize("rerank", [False, True])
+    def test_descriptor_width_mismatch_exit_1(self, tmp_path, capsys, rerank):
+        doc = micro_config(tmp_path / "run")
+        doc["eval"].update(rerank=rerank, k1=2, k2=1)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        (tmp_path / "q.csv").write_text("0,0,0.1,0.2,0.3\n")
+        (tmp_path / "g.csv").write_text("0,1,0.5,0.5\n1,0,0.2,0.1\n")
+        code = main(["eval", "--config", str(path),
+                     "--query-csv", str(tmp_path / "q.csv"),
+                     "--gallery-csv", str(tmp_path / "g.csv")])
+        assert code == 1
+        assert_one_config_error_line(capsys, "have 3 values per row, gallery "
+                                             "descriptors 2")
+
     def test_missing_checkpoint_exit_1(self, tmp_path, config_path, capsys):
         code = main(["eval", "--config", str(config_path), "--checkpoint",
                      str(tmp_path / "absent.json")])
@@ -339,6 +365,11 @@ class TestGradcheckCommand:
         assert all(s["max_rel_error"] < s["tolerance"] for s in report["suites"])
 
 
+    def test_negative_seed_exit_1(self, capsys):
+        assert main(["gradcheck", "--seed", "-1"]) == 1
+        assert_one_config_error_line(capsys, "seed must be non-negative")
+
+
 class TestMasksCommand:
     def test_uniform_grid_output(self, tmp_path, capsys):
         code = main(["masks", "--height", "24", "--width", "8", "--scheme",
@@ -389,6 +420,16 @@ class TestAblationCommands:
             seeds = [r["seed"] for r in rows if r["variant"] == variant]
             assert seeds == ["0", "1", "2", "3", "4", "mean", "stddev"]
 
+    def test_components_grid_clears_keep_branches(self, tmp_path):
+        doc = micro_config(tmp_path / "run")
+        doc["model"]["keep_branches"] = 2
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        assert main(["ablate-components", "--config", str(path)]) == 0
+        variants = {r["variant"]
+                    for r in read_ablation(tmp_path / "run" / "ablation.csv")}
+        assert {"baseline", "elastic_only"} <= variants
+
     def test_dropout_grid(self, tmp_path, config_path):
         code = main(["ablate-dropout", "--config", str(config_path)])
         assert code == 0
@@ -397,6 +438,20 @@ class TestAblationCommands:
         assert variants == {"element_dropout", "spatial_dropout",
                             "batch_dropout", "dropblock", "batch_dropblock",
                             "consecutive"}
+
+    @pytest.mark.parametrize("scheme", [
+        {"kind": "none"}, {"kind": "dropblock", "block_h": 2, "block_w": 1},
+        {"kind": "uniform", "m": 1}], ids=lambda s: s["kind"])
+    def test_dropout_grid_needs_consecutive_branches(self, tmp_path, capsys,
+                                                     scheme):
+        doc = micro_config(tmp_path / "run")
+        del doc["model"]["branches"]
+        doc["model"]["drop_scheme"] = scheme
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        assert main(["ablate-dropout", "--config", str(path)]) == 1
+        assert_one_config_error_line(capsys, "ablate-dropout requires")
+        assert not (tmp_path / "run" / "ablation.csv").exists()
 
     def test_branches_grid(self, tmp_path, config_path):
         code = main(["ablate-branches", "--config", str(config_path)])

@@ -1,4 +1,5 @@
 import copy
+import itertools
 import json
 
 import numpy as np
@@ -248,15 +249,23 @@ class TestSharedTrunkOracle:
 
     @pytest.mark.parametrize("global_branch", [False, True])
     def test_randomized_mask_exact(self, global_branch):
-        config = oracle_config(use_global_branch=global_branch,
-                               drop_scheme=DropBlock(block_h=2, block_w=2))
-        for seed in range(3):
-            (total, ref_total), descs, grads = run_against_oracle(config, seed)
-            assert total == ref_total
-            for d, r in descs:
-                assert np.array_equal(d, r)
-            for param, (g, r) in grads.items():
-                assert np.array_equal(g, r), param
+        # every randomized kind, with and without the resblock; ElementDropout's
+        # rescaled (non-0/1) mask checks the backward mask multiply
+        schemes = (ElementDropout(rate=0.25), SpatialDropout(rate=0.25),
+                   BatchDropout(rate=0.25), DropBlock(block_h=2, block_w=2),
+                   BatchDropBlock(rows_fraction=0.25))
+        for scheme, resblock in itertools.product(schemes, (True, False)):
+            config = oracle_config(use_global_branch=global_branch,
+                                   use_resblock=resblock, drop_scheme=scheme)
+            case = f"{scheme} use_resblock={resblock}"
+            for seed in range(3):
+                (total, ref_total), descs, grads = run_against_oracle(config,
+                                                                      seed)
+                assert total == ref_total, case
+                for d, r in descs:
+                    assert np.array_equal(d, r), case
+                for param, (g, r) in grads.items():
+                    assert np.array_equal(g, r), f"{case} {param}"
 
 
 class TestInfer:
