@@ -14,10 +14,8 @@ from .dropmask import (BatchDropBlock, BatchDropout, DropBlock, DropStrategyKind
                        SpatialDropout, UniformRowDrop, apply_mask, baseline_mask,
                        branch_masks, drop_patch_mask, overlap_row_partition,
                        uniform_row_partition)
-from .elastic_loss import (DescriptorBatch, ElasticParams, HardPairs,
-                           batch_elastic_loss, batch_hard_mine,
-                           batch_hard_triplet_loss, elastic_triplet_loss,
-                           elastic_weight, hard_triplet_loss, pairwise_sq_dist,
+from .elastic_loss import (HardPairs, batch_elastic_loss, batch_hard_mine,
+                           batch_hard_triplet_loss, elastic_weight,
                            sq_dist_matrix)
 from .errors import ConfigError, DegenerateBatchError, NumericError, ShapeError
 from .model import (ForwardOutput, ModelConfig, ModelParams, encode,

@@ -50,6 +50,13 @@ class EvalConfig:
         if not self.ks or min(self.ks) < 1:
             raise ConfigError(f"EvalConfig: ks must be non-empty positive "
                               f"ranks, got {list(self.ks)}")
+        # checked with re-ranking off too: a config is valid or not as a whole
+        if self.k1 < 1 or self.k2 < 1:
+            raise ConfigError(f"EvalConfig: k1 and k2 must be at least 1, got "
+                              f"k1={self.k1}, k2={self.k2}")
+        if not 0.0 <= self.lambda_value <= 1.0:
+            raise ConfigError(f"EvalConfig: lambda_value must lie in [0, 1], "
+                              f"got {self.lambda_value}")
 
 
 @dataclass(frozen=True)
@@ -213,7 +220,7 @@ def cmd_train(args) -> int:
 def _load_embedding_csv(path) -> QuerySet:
     """CSV rows: id, camera, then the descriptor floats (header optional).
 
-    Every row must carry the same number of finite floats.
+    Every row must carry the same number (at least one) of finite floats.
     """
     try:
         text = Path(path).read_text().strip().splitlines()
@@ -231,6 +238,9 @@ def _load_embedding_csv(path) -> QuerySet:
         except (ValueError, IndexError) as exc:
             raise ConfigError(
                 f"bad embedding row in {path} line {lineno}: {exc}") from exc
+        if not rows[-1]:
+            raise ConfigError(
+                f"{path} line {lineno} has no descriptor values")
         if len(rows[-1]) != len(rows[0]):
             raise ConfigError(
                 f"{path} line {lineno} has {len(rows[-1])} descriptor values, "
@@ -502,7 +512,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # a non-finite value is caught where it matters and reported in one
+        # line below, so numpy's overflow warnings would only repeat it
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -1,11 +1,14 @@
 """Batch-hard triplet loss and its sigmoid-weighted (elastic) variant.
 
-Mining is per anchor: the farthest same-id sample (hardest positive) and the
-nearest different-id sample (hardest negative), measured in squared euclidean
-distance. Every loss here is one formula, computed by one core: each valid
-anchor's hinge ``max(0, eta + max_pos - min_neg)`` times a weight, summed
-over the descriptor branches and averaged over the valid (anchor, branch)
-units. The core takes one of three weightings:
+Every loss here is one formula, computed by one entry point,
+``batch_elastic_loss(vectors, ids, eta, weighting)``. ``vectors`` stacks the
+B descriptor branches of one batch as a (B, N, D) array; every branch
+carries the same N identity labels ``ids``. Each branch is mined in its own
+geometry: per anchor, the farthest same-id sample (hardest positive) and the
+nearest different-id sample (hardest negative), in squared euclidean
+distance. Each valid anchor's hinge ``max(0, eta + max_pos - min_neg)`` is
+multiplied by a weight, summed over anchors and branches, and averaged over
+the valid (anchor, branch) units. ``weighting`` is one of:
 
 * ``"sigmoid"``: the elastic weight
 
@@ -15,11 +18,13 @@ units. The core takes one of three weightings:
   approach full weight, easy ones are damped toward one half. The weight
   takes part in the backward pass through the product rule.
 * ``"detached"``: the same weight, held constant in the backward pass.
-* a constant weight, scalar or per anchor, also held constant. The plain
-  batch-hard triplet loss (Hermans et al. 2017) is the constant 1.
+* a constant weight, a scalar or a (B, N) or (N,) array, also held
+  constant. The plain batch-hard triplet loss (Hermans et al. 2017) is the
+  constant 1, ``batch_hard_triplet_loss``.
 
-A single batch is the one-branch case. All gradients are analytic and
-verified against the finite-difference oracle.
+A single batch is the case B = 1. The loss comes with its (B, N, D)
+gradient; all gradients are analytic and verified against the
+finite-difference oracle.
 """
 
 from __future__ import annotations
@@ -28,44 +33,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateBatchError, ShapeError
+from .errors import DegenerateBatchError, NumericError, ShapeError
 
 Array = np.ndarray
-
-
-@dataclass
-class DescriptorBatch:
-    """N descriptor vectors with identity labels (and optional camera labels)."""
-
-    vectors: Array
-    ids: np.ndarray
-    cameras: np.ndarray | None = None
-
-    def __post_init__(self):
-        self.vectors = np.asarray(self.vectors, dtype=np.float64)
-        self.ids = np.asarray(self.ids)
-        if self.vectors.ndim != 2 or self.vectors.shape[0] < 2:
-            raise ShapeError(
-                f"DescriptorBatch: need at least 2 vectors of shape (N, D), "
-                f"got {self.vectors.shape}")
-        if self.ids.shape != (self.vectors.shape[0],):
-            raise ShapeError(
-                f"DescriptorBatch: ids {self.ids.shape} vs vectors {self.vectors.shape}")
-        if not np.all(np.isfinite(self.vectors)):
-            raise ValueError("DescriptorBatch: vectors must be finite")
-        if self.cameras is not None:
-            self.cameras = np.asarray(self.cameras)
-            if self.cameras.shape != self.ids.shape:
-                raise ShapeError("DescriptorBatch: cameras must match ids length")
-
-    def __len__(self) -> int:
-        return self.vectors.shape[0]
 
 
 @dataclass
 class HardPairs:
     """Per-anchor hardest positive/negative squared distances and indices.
 
+    Each field has the leading shape of the mined distances without their
+    last axis: (N,) for one (N, N) matrix, (B, N) for a (B, N, N) stack.
     Anchors with no positive (self excluded) or no negative in the batch are
     flagged invalid; their distances are 0 and indices -1 by convention.
     """
@@ -75,18 +53,6 @@ class HardPairs:
     hardest_pos_index: np.ndarray
     hardest_neg_index: np.ndarray
     valid: np.ndarray
-
-
-@dataclass(frozen=True)
-class ElasticParams:
-    """Margin and weight-handling knobs for the elastic loss."""
-
-    eta: float = 3.0
-    detach_weight: bool = False
-
-    def __post_init__(self):
-        if not self.eta > 0:
-            raise ValueError(f"ElasticParams: eta must be positive, got {self.eta}")
 
 
 def sq_dist_matrix(a, b) -> Array:
@@ -106,33 +72,27 @@ def sq_dist_matrix(a, b) -> Array:
     return out
 
 
-def pairwise_sq_dist(batch: DescriptorBatch) -> Array:
-    """Symmetric zero-diagonal matrix of squared distances within a batch."""
-    return sq_dist_matrix(batch.vectors, batch.vectors)
-
-
 def batch_hard_mine(dist, ids) -> HardPairs:
-    """Hardest positive / hardest negative per anchor; ties go to the lowest index."""
+    """Hardest positive / hardest negative per anchor of (..., N, N)
+    distances, along the last axis; ties go to the lowest index."""
     dist = np.asarray(dist, dtype=np.float64)
     ids = np.asarray(ids)
     n = ids.shape[0]
-    if dist.shape != (n, n):
+    if dist.ndim < 2 or dist.shape[-2:] != (n, n):
         raise ShapeError(f"batch_hard_mine: dist {dist.shape} vs {n} ids")
     same = ids[:, None] == ids[None, :]
     pos_mask = same & ~np.eye(n, dtype=bool)
     neg_mask = ~same
-    valid = pos_mask.any(axis=1) & neg_mask.any(axis=1)
+    valid = np.broadcast_to(pos_mask.any(axis=1) & neg_mask.any(axis=1),
+                            dist.shape[:-1])
 
-    pos_d = np.where(pos_mask, dist, -np.inf)
-    neg_d = np.where(neg_mask, dist, np.inf)
-    pos_idx = pos_d.argmax(axis=1)
-    neg_idx = neg_d.argmin(axis=1)
-    rows = np.arange(n)
-    max_pos = np.where(valid, dist[rows, pos_idx], 0.0)
-    min_neg = np.where(valid, dist[rows, neg_idx], 0.0)
+    pos_idx = np.where(pos_mask, dist, -np.inf).argmax(axis=-1)
+    neg_idx = np.where(neg_mask, dist, np.inf).argmin(axis=-1)
+    max_pos = np.take_along_axis(dist, pos_idx[..., None], axis=-1)[..., 0]
+    min_neg = np.take_along_axis(dist, neg_idx[..., None], axis=-1)[..., 0]
     return HardPairs(
-        max_pos_dist=max_pos,
-        min_neg_dist=min_neg,
+        max_pos_dist=np.where(valid, max_pos, 0.0),
+        min_neg_dist=np.where(valid, min_neg, 0.0),
         hardest_pos_index=np.where(valid, pos_idx, -1),
         hardest_neg_index=np.where(valid, neg_idx, -1),
         valid=valid,
@@ -167,119 +127,76 @@ def elastic_weight(max_pos, min_neg):
     return delta, w
 
 
-def _descriptor_grads(vectors: Array, hard: HardPairs, d_mp: Array,
-                      d_mn: Array) -> Array:
-    """Chain per-anchor distance gradients back to the descriptor matrix.
+def batch_elastic_loss(vectors, ids, eta: float = 3.0, weighting="sigmoid"
+                       ) -> tuple[float, Array]:
+    """Weighted batch-hard hinge over B stacked (N, D) descriptor branches.
 
-    d_mp / d_mn are the loss derivatives w.r.t. each anchor's max_pos /
-    min_neg; distances are squared, so d max_pos / d v_a = 2 (v_a - v_p).
+    The module docstring lists the weightings. Returns the loss and its
+    (B, N, D) gradient w.r.t. ``vectors``.
     """
-    grads = np.zeros_like(vectors)
-    for a in np.flatnonzero(hard.valid):
-        if d_mp[a] == 0.0 and d_mn[a] == 0.0:
-            continue
-        p = hard.hardest_pos_index[a]
-        q = hard.hardest_neg_index[a]
-        pos_diff = 2.0 * (vectors[a] - vectors[p])
-        neg_diff = 2.0 * (vectors[a] - vectors[q])
-        grads[a] += d_mp[a] * pos_diff + d_mn[a] * neg_diff
-        grads[p] -= d_mp[a] * pos_diff
-        grads[q] -= d_mn[a] * neg_diff
-    return grads
+    vectors = np.asarray(vectors, dtype=np.float64)
+    ids = np.asarray(ids)
+    if vectors.ndim != 3 or vectors.shape[0] < 1 or vectors.shape[1] < 2:
+        raise ShapeError(f"batch_elastic_loss: need (B, N, D) descriptors with "
+                         f"B >= 1 and N >= 2, got {vectors.shape}")
+    b, n, dim = vectors.shape
+    if ids.shape != (n,):
+        raise ShapeError(f"batch_elastic_loss: ids {ids.shape} vs descriptors "
+                         f"{vectors.shape}")
+    if not np.all(np.isfinite(vectors)):
+        raise NumericError("batch_elastic_loss: descriptors must be finite")
+    if not eta > 0:
+        raise ValueError(f"batch_elastic_loss: eta must be positive, got {eta}")
+    named = isinstance(weighting, str)
+    if named and weighting not in ("sigmoid", "detached"):
+        raise ValueError(f"batch_elastic_loss: unknown weighting {weighting!r}")
 
-
-def _metric_loss(branches: list[DescriptorBatch], eta: float, weighting,
-                 mined: list[HardPairs] | None = None
-                 ) -> tuple[float, list[Array]]:
-    """Weighted batch-hard hinge over branches; the module docstring lists
-    the weightings.
-
-    Each branch is mined in its own geometry unless ``mined`` gives its
-    hardest pairs. Returns the loss and one gradient array per branch.
-    """
-    if not branches:
-        raise ValueError("need at least one descriptor branch")
-    if any(len(b) != len(branches[0]) or not np.array_equal(b.ids, branches[0].ids)
-           for b in branches[1:]):
-        raise ValueError("all branches must share the same ids")
-    chain = isinstance(weighting, str) and weighting == "sigmoid"
-    if mined is None:
-        mined = [batch_hard_mine(pairwise_sq_dist(b), b.ids) for b in branches]
-    total_valid = int(sum(h.valid.sum() for h in mined))
+    # one distance function for training and evaluation
+    hard = batch_hard_mine(np.stack([sq_dist_matrix(v, v) for v in vectors]),
+                           ids)
+    total_valid = int(hard.valid.sum())
     if total_valid == 0:
         raise DegenerateBatchError(
             "no (anchor, branch) unit has both a positive and a negative")
-    loss = 0.0
-    grads = []
-    for b, h in zip(branches, mined):
-        mp, mn = h.max_pos_dist, h.min_neg_dist
-        if isinstance(weighting, str):
-            w = _sigmoid_weight(mp / (mn + 1.0))
-        else:
-            w = np.broadcast_to(np.asarray(weighting, dtype=np.float64), mp.shape)
-        raw = eta + mp - mn
-        active = h.valid & (raw > 0.0)
-        hinge = np.where(active, raw, 0.0)
-        loss += float(np.where(h.valid, w * hinge, 0.0).sum())
-        d_mp = np.where(active, w, 0.0)
-        d_mn = -d_mp
-        if chain:
-            # product rule through w(delta): w' = w (1 - w).
-            coef = np.where(active, w * (1.0 - w) * hinge, 0.0)
-            d_mp = d_mp + coef / (mn + 1.0)
-            d_mn = d_mn - coef * mp / (mn + 1.0) ** 2
-        grads.append(_descriptor_grads(b.vectors, h, d_mp / total_valid,
-                                       d_mn / total_valid))
-    return loss / total_valid, grads
+    mp, mn = hard.max_pos_dist, hard.min_neg_dist
+    if named:
+        w = _sigmoid_weight(mp / (mn + 1.0))
+    else:
+        w = np.broadcast_to(np.asarray(weighting, dtype=np.float64), mp.shape)
+        if not np.all(np.isfinite(w)):
+            raise ValueError("batch_elastic_loss: a constant weighting must be "
+                             "finite")
+    raw = eta + mp - mn
+    active = hard.valid & (raw > 0.0)
+    hinge = np.where(active, raw, 0.0)
+    # each branch's anchors sum first, then the branch sums left to right
+    row_sums = np.where(hard.valid, w * hinge, 0.0).sum(axis=1)
+    loss = float(np.cumsum(row_sums)[-1]) / total_valid
+
+    d_mp = np.where(active, w, 0.0)
+    d_mn = -d_mp
+    if named and weighting == "sigmoid":
+        # product rule through w(delta): w' = w (1 - w).
+        coef = np.where(active, w * (1.0 - w) * hinge, 0.0)
+        d_mp = d_mp + coef / (mn + 1.0)
+        d_mn = d_mn - coef * mp / (mn + 1.0) ** 2
+    d_mp, d_mn = d_mp / total_valid, d_mn / total_valid
+
+    # squared distances: d max_pos / d v_a = 2 (v_a - v_p); each active
+    # anchor a scatters to rows a, p, q in that order, anchors in turn
+    br, a = np.nonzero(active)
+    p = hard.hardest_pos_index[br, a]
+    q = hard.hardest_neg_index[br, a]
+    pos = d_mp[br, a, None] * (2.0 * (vectors[br, a] - vectors[br, p]))
+    neg = d_mn[br, a, None] * (2.0 * (vectors[br, a] - vectors[br, q]))
+    rows = np.stack([a, p, q], axis=1) + n * br[:, None]
+    updates = np.stack([pos + neg, -pos, -neg], axis=1)
+    grads = np.zeros((b * n, dim))
+    np.add.at(grads, rows.reshape(-1), updates.reshape(-1, dim))
+    return loss, grads.reshape(b, n, dim)
 
 
-def _weighting(params: ElasticParams) -> str:
-    return "detached" if params.detach_weight else "sigmoid"
-
-
-def hard_triplet_loss(batch: DescriptorBatch, eta: float = 3.0,
-                      hard: HardPairs | None = None) -> tuple[float, Array]:
-    """Mean over valid anchors of max(0, eta + max_pos - min_neg).
-
-    Returns the loss and its gradient w.r.t. the descriptor matrix; gradient
-    flows only through each anchor's selected hardest pair.
-    """
-    loss, (grads,) = _metric_loss([batch], eta, 1.0,
-                                  None if hard is None else [hard])
-    return loss, grads
-
-
-def elastic_triplet_loss(batch: DescriptorBatch,
-                         params: ElasticParams | None = None,
-                         hard: HardPairs | None = None,
-                         weight_override=None) -> tuple[float, Array]:
-    """Per-anchor weighted hinge w(delta) * max(0, eta + max_pos - min_neg).
-
-    Averaged over valid anchors. ``weight_override`` substitutes a constant
-    weight (per anchor or scalar) and implies detached-weight gradients;
-    with ``params.detach_weight`` the weight is computed but held constant
-    in the backward pass.
-    """
-    params = params or ElasticParams()
-    weighting = _weighting(params) if weight_override is None else weight_override
-    loss, (grads,) = _metric_loss([batch], params.eta, weighting,
-                                  None if hard is None else [hard])
-    return loss, grads
-
-
-def batch_elastic_loss(branches: list[DescriptorBatch],
-                       params: ElasticParams | None = None
-                       ) -> tuple[float, list[Array]]:
-    """Elastic loss summed over branches, averaged over valid (anchor, branch) units.
-
-    Each branch is mined independently in its own distance geometry. Returns
-    the loss and one gradient array per branch.
-    """
-    params = params or ElasticParams()
-    return _metric_loss(branches, params.eta, _weighting(params))
-
-
-def batch_hard_triplet_loss(branches: list[DescriptorBatch], eta: float = 3.0
-                            ) -> tuple[float, list[Array]]:
-    """Plain batch-hard hinge over branches, same unit normalization as above."""
-    return _metric_loss(branches, eta, 1.0)
+def batch_hard_triplet_loss(vectors, ids, eta: float = 3.0
+                            ) -> tuple[float, Array]:
+    """Plain batch-hard hinge over stacked branches: the constant weight 1."""
+    return batch_elastic_loss(vectors, ids, eta, 1.0)

@@ -11,10 +11,9 @@ from dataclasses import replace
 
 import numpy as np
 
-from .elastic_loss import (DescriptorBatch, ElasticParams, batch_elastic_loss,
-                           batch_hard_mine, elastic_triplet_loss,
-                           elastic_weight, hard_triplet_loss, pairwise_sq_dist)
-from .model import ModelConfig, forward_train, init_params
+from .elastic_loss import (batch_elastic_loss, batch_hard_mine,
+                           elastic_weight, sq_dist_matrix)
+from .model import ModelConfig, forward_train, init_params, metric_weighting
 from .dropmask import DropBlock, OverlapRowDrop, UniformRowDrop
 from .numerics import (finite_diff_grad, linear_backward, linear_forward,
                        max_rel_error, softmax_cross_entropy)
@@ -23,9 +22,13 @@ LOSS_TOL = 1e-6
 MODEL_TOL = 1e-5
 
 
-def _random_batch(rng, n=16, d=8) -> DescriptorBatch:
-    ids = np.repeat(np.arange(n // 4), 4)[:n]
-    return DescriptorBatch(vectors=rng.normal(size=(n, d)), ids=ids)
+# metric-loss suites: (name, weighting, branches B, anchors N, dimension D)
+METRIC_LOSS_SUITES = (
+    ("hard_triplet", 1.0, 1, 16, 8),
+    ("elastic", "sigmoid", 1, 16, 8),
+    ("elastic_detached", "detached", 1, 16, 8),
+    ("batch_elastic", "sigmoid", 3, 12, 6),
+)
 
 
 def check_linear_backward(seed=0, trials=10) -> float:
@@ -62,62 +65,29 @@ def check_softmax_ce(seed=0, trials=10) -> float:
     return worst
 
 
-def check_hard_triplet(seed=0, trials=10) -> float:
+def _mined_weights(vectors, ids) -> np.ndarray:
+    """(B, N) elastic weights of stacked branches at their mined pairs."""
+    hard = batch_hard_mine(np.stack([sq_dist_matrix(v, v) for v in vectors]),
+                           ids)
+    return elastic_weight(hard.max_pos_dist, hard.min_neg_dist)[1]
+
+
+def check_metric_loss(weighting, b: int, n: int, d: int, seed=0, trials=10
+                      ) -> float:
+    """Worst per-branch error of the metric loss gradient; a detached check
+    differences the loss with the weight frozen at its mined value."""
     worst = 0.0
     rng = np.random.default_rng(seed)
+    ids = np.repeat(np.arange(n // 4), 4)[:n]
     for _ in range(trials):
-        batch = _random_batch(rng)
-        _, grads = hard_triplet_loss(batch, eta=3.0)
-
-        def loss_of(v):
-            return hard_triplet_loss(DescriptorBatch(v, batch.ids), eta=3.0)[0]
-
-        worst = max(worst, max_rel_error(grads, finite_diff_grad(loss_of,
-                                                                 batch.vectors)))
-    return worst
-
-
-def check_elastic(seed=0, trials=10, detach=False) -> float:
-    worst = 0.0
-    rng = np.random.default_rng(seed)
-    params = ElasticParams(eta=3.0, detach_weight=detach)
-    for _ in range(trials):
-        batch = _random_batch(rng)
-        _, grads = elastic_triplet_loss(batch, params)
-        if detach:
-            # freeze the weight at its forward value before differencing
-            hard = batch_hard_mine(pairwise_sq_dist(batch), batch.ids)
-            w0 = 1.0 / (1.0 + np.exp(-hard.max_pos_dist / (hard.min_neg_dist + 1.0)))
-
-            def loss_of(v):
-                return elastic_triplet_loss(DescriptorBatch(v, batch.ids), params,
-                                            weight_override=w0)[0]
-        else:
-            def loss_of(v):
-                return elastic_triplet_loss(DescriptorBatch(v, batch.ids), params)[0]
-
-        worst = max(worst, max_rel_error(grads, finite_diff_grad(loss_of,
-                                                                 batch.vectors)))
-    return worst
-
-
-def check_batch_elastic(seed=0, trials=10, m=3) -> float:
-    worst = 0.0
-    rng = np.random.default_rng(seed)
-    params = ElasticParams()
-    for _ in range(trials):
-        base = _random_batch(rng, n=12, d=6)
-        branches = [DescriptorBatch(rng.normal(size=base.vectors.shape), base.ids)
-                    for _ in range(m)]
-        _, grads = batch_elastic_loss(branches, params)
-        for bi in range(m):
-            def loss_of(v, bi=bi):
-                swapped = [DescriptorBatch(v, base.ids) if j == bi else branches[j]
-                           for j in range(m)]
-                return batch_elastic_loss(swapped, params)[0]
-
-            fd = finite_diff_grad(loss_of, branches[bi].vectors)
-            worst = max(worst, max_rel_error(grads[bi], fd))
+        vectors = rng.normal(size=(b, n, d))
+        _, grads = batch_elastic_loss(vectors, ids, 3.0, weighting)
+        frozen = weighting
+        if weighting == "detached":
+            frozen = _mined_weights(vectors, ids)
+        fd = finite_diff_grad(
+            lambda v: batch_elastic_loss(v, ids, 3.0, frozen)[0], vectors)
+        worst = max(worst, *map(max_rel_error, grads, fd))
     return worst
 
 
@@ -149,24 +119,6 @@ def model_variants() -> dict[str, ModelConfig]:
     }
 
 
-def _mine_branches(out, ids) -> list:
-    return [batch_hard_mine(pairwise_sq_dist(DescriptorBatch(d, ids)), ids)
-            for d in out.branch_descriptors]
-
-
-def _frozen_weight_loss(out, ids, weights, eta: float) -> float:
-    """Training loss with each anchor's elastic weight held at ``weights``.
-
-    The gradient of a detached-weight step is the gradient of this loss.
-    """
-    mined = _mine_branches(out, ids)
-    hinges = sum(
-        float(np.where(h.valid, w * np.maximum(
-            eta + h.max_pos_dist - h.min_neg_dist, 0.0), 0.0).sum())
-        for h, w in zip(mined, weights))
-    return hinges / sum(int(h.valid.sum()) for h in mined) + out.ce_loss
-
-
 def check_model_end_to_end(seed=0, trials=10, config: ModelConfig | None = None
                            ) -> float:
     """Total training loss gradient w.r.t. every parameter on a tiny net."""
@@ -189,9 +141,8 @@ def check_model_end_to_end(seed=0, trials=10, config: ModelConfig | None = None
         analytic_grads = {name: p.grad.copy()
                           for name, p in params.named().items()}
         weights = None
-        if config.loss == "elastic" and config.detach_weight:
-            weights = [elastic_weight(h.max_pos_dist, h.min_neg_dist)[1]
-                       for h in _mine_branches(out, ids)]
+        if metric_weighting(config) == "detached":
+            weights = _mined_weights(out.branch_descriptors, ids)
         for name, p in params.named().items():
             analytic = analytic_grads[name]
 
@@ -202,10 +153,13 @@ def check_model_end_to_end(seed=0, trials=10, config: ModelConfig | None = None
                     loss, out = step()
                 finally:
                     p.value = old
-                if weights is not None:
-                    return _frozen_weight_loss(out, ids, weights,
-                                               config.eta)
-                return loss
+                if weights is None:
+                    return loss
+                # a detached-weight step differentiates the loss with
+                # every weight frozen at its value in the step
+                metric, _ = batch_elastic_loss(np.stack(out.branch_descriptors),
+                                               ids, config.eta, weights)
+                return metric + out.ce_loss
 
             fd = finite_diff_grad(loss_of, p.value)
             worst = max(worst, max_rel_error(analytic, fd))
@@ -218,10 +172,9 @@ def run_gradient_checks(seed: int = 0, trials: int = 10) -> dict:
     suites = [
         ("linear_backward", check_linear_backward(seed, trials), LOSS_TOL),
         ("softmax_cross_entropy", check_softmax_ce(seed, trials), LOSS_TOL),
-        ("hard_triplet", check_hard_triplet(seed, trials), LOSS_TOL),
-        ("elastic", check_elastic(seed, trials, detach=False), LOSS_TOL),
-        ("elastic_detached", check_elastic(seed, trials, detach=True), LOSS_TOL),
-        ("batch_elastic", check_batch_elastic(seed, trials), LOSS_TOL),
+    ] + [
+        (name, check_metric_loss(weighting, b, n, d, seed, trials), LOSS_TOL)
+        for name, weighting, b, n, d in METRIC_LOSS_SUITES
     ] + [
         (name, check_model_end_to_end(seed, trials, config), MODEL_TOL)
         for name, config in model_variants().items()

@@ -38,6 +38,7 @@ deterministic given the config seed.
 from __future__ import annotations
 
 import json
+import sys
 import types
 import typing
 from dataclasses import asdict, dataclass, fields
@@ -50,8 +51,7 @@ from .data_synth import Sample, pk_batches, stack_images
 from .dropmask import (BatchDropBlock, BatchDropout, DropBlock, DropStrategyKind,
                        ElementDropout, NoDrop, OverlapRowDrop, SpatialDropout,
                        UniformRowDrop)
-from .elastic_loss import (DescriptorBatch, ElasticParams, batch_elastic_loss,
-                           batch_hard_triplet_loss)
+from .elastic_loss import batch_elastic_loss
 from .errors import ConfigError, ShapeError
 from .numerics import (Array, ParamTensor, adam_step, init_linear, linear_backward,
                        linear_forward, relu_backward, relu_forward,
@@ -99,6 +99,9 @@ class ModelConfig:
                                   f"got {getattr(self, name)}")
         if self.epochs < 0 or self.warmup_epochs < 0:
             raise ConfigError("ModelConfig: epochs must be non-negative")
+        if any(d < 1 for d in self.decay_epochs):
+            raise ConfigError(f"ModelConfig: decay epochs are 1-based, got "
+                              f"{list(self.decay_epochs)}")
         if self.batch_p < 2 or self.batch_k < 2:
             raise ConfigError("ModelConfig: need batch_p >= 2 and batch_k >= 2")
         if self.seed < 0:
@@ -289,6 +292,13 @@ def _head_backward(d_desc: Array, d_logits: Array, pooled: Array, desc: Array,
     return d_pooled
 
 
+def metric_weighting(config: ModelConfig):
+    """The metric loss's weighting: the plain triplet loss is the constant 1."""
+    if config.loss == "triplet":
+        return 1.0
+    return "detached" if config.detach_weight else "sigmoid"
+
+
 def forward_train(images, ids, params: ModelParams, config: ModelConfig,
                   rng: np.random.Generator | None = None
                   ) -> tuple[float, ForwardOutput]:
@@ -331,13 +341,8 @@ def forward_train(images, ids, params: ModelParams, config: ModelConfig,
     descs = [linear_forward(p, params.emb_w, params.emb_b) for p in pooled]
     logits = [linear_forward(d, params.cls_w, params.cls_b) for d in descs]
 
-    branches = [DescriptorBatch(vectors=d, ids=ids) for d in descs]
-    if config.loss == "elastic":
-        metric_loss, metric_grads = batch_elastic_loss(
-            branches, ElasticParams(eta=config.eta,
-                                    detach_weight=config.detach_weight))
-    else:
-        metric_loss, metric_grads = batch_hard_triplet_loss(branches, eta=config.eta)
+    metric_loss, metric_grads = batch_elastic_loss(
+        np.stack(descs), ids, config.eta, metric_weighting(config))
 
     ce_total = 0.0
     d_logits = []
@@ -461,7 +466,10 @@ def _fits(value, hint) -> bool:
         return isinstance(value, (list, tuple)) and all(
             _fits(v, typing.get_args(hint)[0]) for v in value)
     if hint in (int, float):
-        return isinstance(value, (int, hint)) and not isinstance(value, bool)
+        if not isinstance(value, (int, hint)) or isinstance(value, bool):
+            return False
+        # false for nan, infinity and an int too large for a float
+        return hint is int or abs(value) <= sys.float_info.max
     return isinstance(value, hint) if hint in (bool, str, type(None)) else True
 
 
@@ -469,9 +477,10 @@ def check_fields(cls, doc, where: str) -> None:
     """Reject a ``doc`` holding keys that are not fields of dataclass ``cls``
     or values that do not fit their field's type.
 
-    int fields reject bool and float, float fields accept int, tuple fields
-    take a json list; a field of any other type (the drop scheme) is left
-    to its own parser.
+    int fields reject bool and float, float fields accept int but not nan,
+    infinity (which Python's json reads) or an int beyond the float range,
+    tuple fields take a json list; a field of any other type (the drop
+    scheme) is left to its own parser.
     """
     if not isinstance(doc, dict):
         raise ConfigError(f"{where} must be a json object, got {doc!r}")

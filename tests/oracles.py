@@ -13,9 +13,8 @@ import math
 import numpy as np
 
 from elasticdrop import dropmask
-from elasticdrop.elastic_loss import (DescriptorBatch, ElasticParams,
-                                      batch_elastic_loss,
-                                      batch_hard_triplet_loss)
+from elasticdrop.elastic_loss import batch_elastic_loss
+from elasticdrop.model import metric_weighting
 from elasticdrop.numerics import (linear_backward, linear_forward,
                                   relu_backward, relu_forward,
                                   softmax_cross_entropy)
@@ -333,14 +332,8 @@ def naive_forward_train(images, ids, params, config, rng=None):
         logits.append(lg)
         caches.append(cache)
 
-    branches = [DescriptorBatch(vectors=d, ids=ids) for d in descs]
-    if config.loss == "elastic":
-        metric_loss, metric_grads = batch_elastic_loss(
-            branches, ElasticParams(eta=config.eta,
-                                    detach_weight=config.detach_weight))
-    else:
-        metric_loss, metric_grads = batch_hard_triplet_loss(branches,
-                                                            eta=config.eta)
+    metric_loss, metric_grads = batch_elastic_loss(
+        np.stack(descs), ids, config.eta, metric_weighting(config))
     ce_total = 0.0
     d_logits = []
     for lg in logits:

@@ -16,10 +16,9 @@ from oracles import naive_evaluate, random_retrieval_instance, rerank_reference
 from elasticdrop.cli import main, run_config_from_dict, run_train_eval
 from elasticdrop.dropmask import (NoDrop, overlap_row_partition,
                                   uniform_row_partition)
-from elasticdrop.elastic_loss import (DescriptorBatch, ElasticParams,
-                                      batch_hard_triplet_loss,
-                                      elastic_triplet_loss, elastic_weight,
-                                      hard_triplet_loss, sq_dist_matrix)
+from elasticdrop.elastic_loss import (batch_elastic_loss,
+                                      batch_hard_triplet_loss, elastic_weight,
+                                      sq_dist_matrix)
 from elasticdrop.gradcheck import run_gradient_checks
 from elasticdrop.retrieval_eval import QuerySet, evaluate, k_reciprocal_rerank
 
@@ -49,25 +48,22 @@ def test_criterion_1_weight_bound():
 def test_criterion_2_reduction_to_hard_triplet():
     start = time.perf_counter()
     rng = np.random.default_rng(7)
-    params = ElasticParams(eta=3.0, detach_weight=True)
     worst = 0.0
     for _ in range(100):
         n = int(rng.integers(4, 17))
         ids = rng.integers(0, 4, size=n)
         ids[0], ids[1] = 0, 1
-        batch = DescriptorBatch(rng.normal(size=(n, int(rng.integers(2, 9)))),
-                                ids)
-        elastic, _ = elastic_triplet_loss(batch, params, weight_override=1.0)
-        hard, _ = hard_triplet_loss(batch, eta=3.0)
+        vectors = rng.normal(size=(1, n, int(rng.integers(2, 9))))
+        elastic, _ = batch_elastic_loss(vectors, ids, 3.0, 1.0)
+        hard, _ = batch_hard_triplet_loss(vectors, ids, 3.0)
         worst = max(worst, abs(elastic - hard))
     # multi-branch form as well
     for _ in range(20):
         ids = np.repeat(np.arange(3), 4)
-        branches = [DescriptorBatch(rng.normal(size=(12, 5)), ids)
-                    for _ in range(3)]
-        frozen = sum(elastic_triplet_loss(b, params, weight_override=1.0)[0]
-                     for b in branches)
-        plain, _ = batch_hard_triplet_loss(branches, eta=3.0)
+        vectors = rng.normal(size=(3, 12, 5))
+        frozen = sum(batch_elastic_loss(v[None], ids, 3.0, 1.0)[0]
+                     for v in vectors)
+        plain, _ = batch_hard_triplet_loss(vectors, ids, 3.0)
         # same unit count per branch here, so the means agree
         worst = max(worst, abs(frozen / 3.0 - plain))
     elapsed = time.perf_counter() - start

@@ -1,6 +1,7 @@
 import copy
 import csv
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -235,6 +236,57 @@ class TestTrainCommand:
         assert main(["train", "--config", str(path), *argv]) == 1
         assert_one_config_error_line(capsys, "seed must be non-negative")
 
+    @pytest.mark.parametrize("section, key, value, fragment", [
+        ("model", "decay_epochs", [-1], "decay epochs are 1-based"),
+        ("model", "decay_epochs", [3, 0], "decay epochs are 1-based"),
+        ("eval", "k1", 0, "k1 and k2 must be at least 1"),
+        ("eval", "k2", -2, "k1 and k2 must be at least 1"),
+        ("eval", "lambda_value", 7.5, "lambda_value must lie in [0, 1]"),
+        ("eval", "lambda_value", -0.1, "lambda_value must lie in [0, 1]"),
+    ], ids=["decay_negative", "decay_zero", "k1_zero", "k2_negative",
+            "lambda_high", "lambda_low"])
+    def test_out_of_range_value_exit_1(self, tmp_path, capsys, section, key,
+                                       value, fragment):
+        # re-ranking is off: a value it would use is checked all the same
+        doc = micro_config(tmp_path)
+        doc[section][key] = value
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        assert main(["train", "--config", str(path)]) == 1
+        assert_one_config_error_line(capsys, fragment)
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("data", "noise_sigma", float("nan")),
+        ("model", "eta", float("inf")),
+        ("eval", "lambda_value", float("-inf")),
+        ("model", "base_lr", 10 ** 400),
+    ], ids=["nan", "inf", "minus_inf", "int_beyond_float"])
+    def test_non_finite_float_exit_1(self, tmp_path, capsys, section, key,
+                                     value):
+        # python's json writes and reads NaN, Infinity and integers of any
+        # size
+        doc = micro_config(tmp_path)
+        doc[section][key] = value
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        assert main(["train", "--config", str(path)]) == 1
+        assert_one_config_error_line(capsys, f"{key} must be of type float, "
+                                             f"got {value!r}")
+
+    def test_diverging_training_exit_2(self, tmp_path, capsys):
+        # the step size overflows the weights, then the descriptors; numpy
+        # must not warn on the way
+        doc = micro_config(tmp_path)
+        doc["model"]["base_lr"] = 1e308
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["train", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("numeric failure:") and "finite" in err
+
 
 class TestEvalCommand:
     def test_eval_checkpoint(self, tmp_path, config_path, capsys):
@@ -295,6 +347,20 @@ class TestEvalCommand:
         assert code == 1
         assert_one_config_error_line(capsys, "non-finite")
 
+    @pytest.mark.parametrize("query, gallery", [
+        ("0,0\n1,1\n", "0,1\n1,0\n"),
+        ("0,0,0.1\n1,1\n", "0,1,0.2\n1,0,0.3\n"),
+    ], ids=["every_row", "second_row"])
+    def test_zero_width_descriptor_exit_1(self, tmp_path, config_path, capsys,
+                                          query, gallery):
+        (tmp_path / "q.csv").write_text(query)
+        (tmp_path / "g.csv").write_text(gallery)
+        code = main(["eval", "--config", str(config_path),
+                     "--query-csv", str(tmp_path / "q.csv"),
+                     "--gallery-csv", str(tmp_path / "g.csv")])
+        assert code == 1
+        assert_one_config_error_line(capsys, "has no descriptor values")
+
     @pytest.mark.parametrize("rerank", [False, True])
     def test_descriptor_width_mismatch_exit_1(self, tmp_path, capsys, rerank):
         doc = micro_config(tmp_path / "run")
@@ -340,6 +406,19 @@ class TestEvalCommand:
         assert code == 1
         assert_one_config_error_line(
             capsys, "emb_w" if damage == "values" else damage)
+
+    def test_non_finite_checkpoint_config_exit_1(self, tmp_path, config_path,
+                                                 capsys):
+        main(["train", "--config", str(config_path)])
+        path = tmp_path / "run" / "checkpoint.json"
+        blob = json.loads(path.read_text())
+        blob["config"]["eta"] = float("inf")
+        path.write_text(json.dumps(blob))
+        capsys.readouterr()
+        code = main(["eval", "--config", str(config_path), "--checkpoint",
+                     str(path)])
+        assert code == 1
+        assert_one_config_error_line(capsys, "eta must be of type float, got inf")
 
     def test_checkpoint_grid_mismatch_exit_1(self, tmp_path, config_path,
                                              capsys):

@@ -3,36 +3,36 @@ import pytest
 
 from oracles import naive_hard_mine, naive_metric_loss, naive_pairwise_sq_dist
 
-from elasticdrop.elastic_loss import (DescriptorBatch, ElasticParams, HardPairs,
-                                      _metric_loss,
-                                      batch_elastic_loss, batch_hard_mine,
-                                      batch_hard_triplet_loss,
-                                      elastic_triplet_loss, elastic_weight,
-                                      hard_triplet_loss, pairwise_sq_dist)
-from elasticdrop.errors import DegenerateBatchError, ShapeError
+from elasticdrop.elastic_loss import (batch_elastic_loss, batch_hard_mine,
+                                      batch_hard_triplet_loss, elastic_weight,
+                                      sq_dist_matrix)
+from elasticdrop.errors import DegenerateBatchError, NumericError, ShapeError
 from elasticdrop.numerics import finite_diff_grad, max_rel_error
 
 
-def make_batch(vectors, ids):
-    return DescriptorBatch(vectors=np.asarray(vectors, dtype=float),
-                           ids=np.asarray(ids))
-
-
 def random_batch(rng, n=16, d=8, n_ids=4):
+    """(N, D) descriptors and N ids with at least two distinct ids."""
     ids = rng.integers(0, n_ids, size=n)
-    # force at least two distinct ids
     ids[0], ids[1] = 0, 1
-    return make_batch(rng.normal(size=(n, d)), ids)
+    return rng.normal(size=(n, d)), ids
+
+
+def pairwise(vectors):
+    return sq_dist_matrix(vectors, vectors)
+
+
+def single(loss_fn, vectors, ids, *args):
+    """A loss over one (N, D) branch: the stack of one, and its (N, D) grad."""
+    loss, grads = loss_fn(np.asarray(vectors, dtype=float)[None], ids, *args)
+    return loss, grads[0]
 
 
 class TestPairwiseSqDist:
     def test_identical_rows_zero(self):
-        batch = make_batch([[1.0, 2.0], [1.0, 2.0]], [0, 1])
-        assert not pairwise_sq_dist(batch).any()
+        assert not pairwise(np.array([[1.0, 2.0], [1.0, 2.0]])).any()
 
     def test_one_dimensional(self):
-        batch = make_batch([[0.0], [3.0]], [0, 1])
-        dist = pairwise_sq_dist(batch)
+        dist = pairwise(np.array([[0.0], [3.0]]))
         assert dist[0, 1] == 9.0 and dist[1, 0] == 9.0
         assert dist[0, 0] == 0.0 and dist[1, 1] == 0.0
 
@@ -40,21 +40,21 @@ class TestPairwiseSqDist:
         rng = np.random.default_rng(3)
         for _ in range(10):
             n, d = int(rng.integers(2, 12)), int(rng.integers(1, 9))
-            batch = random_batch(rng, n=n, d=d)
-            assert np.array_equal(pairwise_sq_dist(batch),
-                                  naive_pairwise_sq_dist(batch.vectors))
+            vectors, _ = random_batch(rng, n=n, d=d)
+            assert np.array_equal(pairwise(vectors),
+                                  naive_pairwise_sq_dist(vectors))
 
     def test_symmetric_zero_diagonal(self):
-        batch = random_batch(np.random.default_rng(5))
-        dist = pairwise_sq_dist(batch)
+        vectors, _ = random_batch(np.random.default_rng(5))
+        dist = pairwise(vectors)
         assert np.array_equal(dist, dist.T)
         assert not np.diagonal(dist).any()
 
 
 class TestBatchHardMine:
     def test_hand_example(self):
-        batch = make_batch([[0.0], [1.0], [5.0], [5.5]], [0, 0, 1, 1])
-        hard = batch_hard_mine(pairwise_sq_dist(batch), batch.ids)
+        hard = batch_hard_mine(pairwise(np.array([[0.0], [1.0], [5.0], [5.5]])),
+                               [0, 0, 1, 1])
         assert hard.max_pos_dist[0] == 1.0
         assert hard.hardest_pos_index[0] == 1
         assert hard.min_neg_dist[0] == 25.0
@@ -62,23 +62,22 @@ class TestBatchHardMine:
         assert hard.valid.all()
 
     def test_all_same_id_invalid(self):
-        batch = make_batch(np.arange(6.0).reshape(3, 2), [7, 7, 7])
-        hard = batch_hard_mine(pairwise_sq_dist(batch), batch.ids)
+        hard = batch_hard_mine(pairwise(np.arange(6.0).reshape(3, 2)), [7, 7, 7])
         assert not hard.valid.any()
         assert (hard.hardest_pos_index == -1).all()
 
     def test_two_per_id_forced_positive(self):
-        batch = make_batch([[0.0], [2.0], [9.0], [9.1]], [0, 0, 1, 1])
-        hard = batch_hard_mine(pairwise_sq_dist(batch), batch.ids)
+        hard = batch_hard_mine(pairwise(np.array([[0.0], [2.0], [9.0], [9.1]])),
+                               [0, 0, 1, 1])
         assert hard.hardest_pos_index[0] == 1
         assert hard.hardest_pos_index[1] == 0
         assert hard.hardest_pos_index[2] == 3
 
     def test_ties_break_to_lowest_index(self):
         # anchor 0 equidistant from both negatives and both positives
-        batch = make_batch([[0.0, 0.0], [1.0, 0.0], [-1.0, 0.0],
-                            [0.0, 2.0], [0.0, -2.0]], [0, 0, 0, 1, 1])
-        hard = batch_hard_mine(pairwise_sq_dist(batch), batch.ids)
+        vectors = np.array([[0.0, 0.0], [1.0, 0.0], [-1.0, 0.0],
+                            [0.0, 2.0], [0.0, -2.0]])
+        hard = batch_hard_mine(pairwise(vectors), [0, 0, 0, 1, 1])
         assert hard.hardest_pos_index[0] == 1
         assert hard.hardest_neg_index[0] == 3
 
@@ -86,11 +85,11 @@ class TestBatchHardMine:
         rng = np.random.default_rng(17)
         for _ in range(100):
             n = int(rng.integers(2, 13))
-            batch = random_batch(rng, n=n, d=int(rng.integers(1, 6)),
-                                 n_ids=int(rng.integers(2, 5)))
-            dist = pairwise_sq_dist(batch)
-            hard = batch_hard_mine(dist, batch.ids)
-            for a, ref in enumerate(naive_hard_mine(dist, batch.ids)):
+            vectors, ids = random_batch(rng, n=n, d=int(rng.integers(1, 6)),
+                                        n_ids=int(rng.integers(2, 5)))
+            dist = pairwise(vectors)
+            hard = batch_hard_mine(dist, ids)
+            for a, ref in enumerate(naive_hard_mine(dist, ids)):
                 assert hard.valid[a] == ref["valid"]
                 if ref["valid"]:
                     assert hard.max_pos_dist[a] == ref["max_pos"]
@@ -100,28 +99,40 @@ class TestBatchHardMine:
 
     def test_scaling_leaves_indices(self):
         rng = np.random.default_rng(23)
-        batch = random_batch(rng)
-        hard = batch_hard_mine(pairwise_sq_dist(batch), batch.ids)
-        scaled = make_batch(batch.vectors * 2.7, batch.ids)
-        hard2 = batch_hard_mine(pairwise_sq_dist(scaled), scaled.ids)
+        vectors, ids = random_batch(rng)
+        hard = batch_hard_mine(pairwise(vectors), ids)
+        hard2 = batch_hard_mine(pairwise(vectors * 2.7), ids)
         assert np.array_equal(hard.hardest_pos_index, hard2.hardest_pos_index)
         assert np.array_equal(hard.hardest_neg_index, hard2.hardest_neg_index)
+
+    def test_stack_mines_each_matrix(self):
+        # (B, N, N) mining equals mining each matrix alone, ties included
+        rng = np.random.default_rng(19)
+        ids = np.array([0, 0, 1, 1, 1, 2, 0, 2])
+        stack = np.stack([pairwise(rng.integers(-1, 2, size=(8, 2)).astype(float))
+                          for _ in range(4)])
+        hard = batch_hard_mine(stack, ids)
+        for b, dist in enumerate(stack):
+            one = batch_hard_mine(dist, ids)
+            for field in ("max_pos_dist", "min_neg_dist", "hardest_pos_index",
+                          "hardest_neg_index", "valid"):
+                assert np.array_equal(getattr(hard, field)[b],
+                                      getattr(one, field))
 
 
 class TestHardTripletLoss:
     def test_satisfied_margin_zero(self):
-        batch = make_batch([[0.0], [0.1], [50.0], [50.1]], [0, 0, 1, 1])
-        loss, grads = hard_triplet_loss(batch, eta=3.0)
+        loss, grads = single(batch_hard_triplet_loss,
+                             [[0.0], [0.1], [50.0], [50.1]], [0, 0, 1, 1], 3.0)
         assert loss == 0.0
         assert not grads.any()
 
     def test_hinge_value(self):
         # one valid anchor pattern: max_pos 4, min_neg 1 per anchor 0
-        batch = make_batch([[0.0], [2.0], [1.0], [9.0]], [0, 0, 1, 1])
-        dist = pairwise_sq_dist(batch)
-        hard = batch_hard_mine(dist, batch.ids)
+        vectors, ids = np.array([[0.0], [2.0], [1.0], [9.0]]), [0, 0, 1, 1]
+        hard = batch_hard_mine(pairwise(vectors), ids)
         assert hard.max_pos_dist[0] == 4.0 and hard.min_neg_dist[0] == 1.0
-        loss, _ = hard_triplet_loss(batch, eta=3.0)
+        loss, _ = single(batch_hard_triplet_loss, vectors, ids, 3.0)
         # all four anchors contribute; anchor 0's hinge is eta + 4 - 1 = 6
         per_anchor = [max(0.0, 3.0 + hard.max_pos_dist[a] - hard.min_neg_dist[a])
                       for a in range(4)]
@@ -131,17 +142,16 @@ class TestHardTripletLoss:
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(29)
         for _ in range(10):
-            batch = random_batch(rng)
-            _, grads = hard_triplet_loss(batch, eta=3.0)
+            vectors, ids = random_batch(rng)
+            _, grads = single(batch_hard_triplet_loss, vectors, ids, 3.0)
             fd = finite_diff_grad(
-                lambda v: hard_triplet_loss(make_batch(v, batch.ids), eta=3.0)[0],
-                batch.vectors)
+                lambda v: single(batch_hard_triplet_loss, v, ids, 3.0)[0],
+                vectors)
             assert max_rel_error(grads, fd) < 1e-6
 
     def test_degenerate_batch_raises(self):
-        batch = make_batch([[0.0], [1.0]], [3, 3])
         with pytest.raises(DegenerateBatchError):
-            hard_triplet_loss(batch)
+            single(batch_hard_triplet_loss, [[0.0], [1.0]], [3, 3])
 
 
 class TestElasticWeight:
@@ -191,65 +201,53 @@ class TestElasticWeight:
 
 class TestElasticTripletLoss:
     def test_zero_hinge_zero_loss(self):
-        batch = make_batch([[0.0], [0.1], [50.0], [50.1]], [0, 0, 1, 1])
-        loss, grads = elastic_triplet_loss(batch)
+        loss, grads = single(batch_elastic_loss, [[0.0], [0.1], [50.0], [50.1]],
+                             [0, 0, 1, 1])
         assert loss == 0.0 and not grads.any()
 
     def test_frozen_single_anchor_value(self):
-        # construct hard pairs directly: max_pos 4, min_neg 1, eta 3
-        hard = HardPairs(max_pos_dist=np.array([4.0]),
-                         min_neg_dist=np.array([1.0]),
-                         hardest_pos_index=np.array([1]),
-                         hardest_neg_index=np.array([2]),
-                         valid=np.array([True]))
-        batch = make_batch([[0.0], [2.0], [1.0]], [0, 0, 1])
-        loss, _ = elastic_triplet_loss(batch, hard=hard)
+        # both valid anchors mine max_pos 4, min_neg 1; eta 3
+        loss, _ = single(batch_elastic_loss, [[0.0], [2.0], [1.0]], [0, 0, 1])
         assert loss == pytest.approx(5.284782467867294, abs=1e-14)
 
     def test_fully_degenerate_batch_value(self):
-        batch = make_batch(np.zeros((4, 3)), [0, 0, 1, 1])
-        loss, _ = elastic_triplet_loss(batch, ElasticParams(eta=3.0))
+        loss, _ = single(batch_elastic_loss, np.zeros((4, 3)), [0, 0, 1, 1], 3.0)
         assert loss == pytest.approx(1.5, abs=1e-15)
 
     def test_gradient_default_mode(self):
         rng = np.random.default_rng(31)
         for _ in range(10):
-            batch = random_batch(rng)
-            _, grads = elastic_triplet_loss(batch)
+            vectors, ids = random_batch(rng)
+            _, grads = single(batch_elastic_loss, vectors, ids)
             fd = finite_diff_grad(
-                lambda v: elastic_triplet_loss(make_batch(v, batch.ids))[0],
-                batch.vectors)
+                lambda v: single(batch_elastic_loss, v, ids)[0], vectors)
             assert max_rel_error(grads, fd) < 1e-6
 
     def test_gradient_detached_mode(self):
         rng = np.random.default_rng(37)
-        params = ElasticParams(detach_weight=True)
         for _ in range(10):
-            batch = random_batch(rng)
-            _, grads = elastic_triplet_loss(batch, params)
-            hard = batch_hard_mine(pairwise_sq_dist(batch), batch.ids)
+            vectors, ids = random_batch(rng)
+            _, grads = single(batch_elastic_loss, vectors, ids, 3.0, "detached")
+            hard = batch_hard_mine(pairwise(vectors), ids)
             w0 = 1.0 / (1.0 + np.exp(-hard.max_pos_dist / (hard.min_neg_dist + 1.0)))
             fd = finite_diff_grad(
-                lambda v: elastic_triplet_loss(make_batch(v, batch.ids), params,
-                                               weight_override=w0)[0],
-                batch.vectors)
+                lambda v: single(batch_elastic_loss, v, ids, 3.0, w0)[0],
+                vectors)
             assert max_rel_error(grads, fd) < 1e-6
 
     def test_reduction_to_hard_loss(self):
         rng = np.random.default_rng(41)
-        params = ElasticParams(detach_weight=True)
         for _ in range(100):
-            batch = random_batch(rng, n=int(rng.integers(4, 17)))
-            elastic, _ = elastic_triplet_loss(batch, params, weight_override=1.0)
-            hard, _ = hard_triplet_loss(batch, eta=3.0)
+            vectors, ids = random_batch(rng, n=int(rng.integers(4, 17)))
+            elastic, _ = single(batch_elastic_loss, vectors, ids, 3.0, 1.0)
+            hard, _ = single(batch_hard_triplet_loss, vectors, ids, 3.0)
             assert abs(elastic - hard) < 1e-12
 
     def test_damping(self):
         rng = np.random.default_rng(43)
         for _ in range(20):
-            batch = random_batch(rng, n=8, d=3)
-            dist = pairwise_sq_dist(batch)
-            hard = batch_hard_mine(dist, batch.ids)
+            vectors, ids = random_batch(rng, n=8, d=3)
+            hard = batch_hard_mine(pairwise(vectors), ids)
             raw = 3.0 + hard.max_pos_dist - hard.min_neg_dist
             delta = hard.max_pos_dist / (hard.min_neg_dist + 1.0)
             w = 1.0 / (1.0 + np.exp(-delta))
@@ -259,61 +257,70 @@ class TestElasticTripletLoss:
                 assert elastic_term >= 0.5 * raw[a]
 
     def test_degenerate_raises(self):
-        batch = make_batch([[0.0], [1.0]], [1, 1])
         with pytest.raises(DegenerateBatchError):
-            elastic_triplet_loss(batch)
+            single(batch_elastic_loss, [[0.0], [1.0]], [1, 1])
 
 
 class TestBatchElasticLoss:
     def test_single_branch_reduces(self):
+        # branches share ids, so each holds a third of the valid units: the
+        # stacked loss is the mean of the one-branch losses
         rng = np.random.default_rng(47)
-        batch = random_batch(rng)
-        single, sgrads = elastic_triplet_loss(batch)
-        multi, mgrads = batch_elastic_loss([batch])
-        assert multi == pytest.approx(single, abs=1e-15)
-        assert np.allclose(mgrads[0], sgrads, atol=1e-15)
+        vectors = rng.normal(size=(3, 16, 8))
+        _, ids = random_batch(rng)
+        multi, mgrads = batch_elastic_loss(vectors, ids)
+        for b in range(3):
+            _, sgrads = single(batch_elastic_loss, vectors[b], ids)
+            assert np.allclose(3.0 * mgrads[b], sgrads, atol=1e-15)
+        losses = [single(batch_elastic_loss, v, ids)[0] for v in vectors]
+        assert multi == pytest.approx(np.mean(losses), abs=1e-15)
 
     def test_duplicated_branch_equals_single(self):
         rng = np.random.default_rng(53)
-        batch = random_batch(rng)
-        single, _ = elastic_triplet_loss(batch)
-        double, _ = batch_elastic_loss([batch, batch])
-        assert double == pytest.approx(single, rel=1e-12)
+        vectors, ids = random_batch(rng)
+        one, _ = single(batch_elastic_loss, vectors, ids)
+        double, _ = batch_elastic_loss(np.stack([vectors, vectors]), ids)
+        assert double == pytest.approx(one, rel=1e-12)
 
     def test_gradients_per_branch(self):
         rng = np.random.default_rng(59)
         ids = np.repeat(np.arange(3), 4)
-        branches = [make_batch(rng.normal(size=(12, 5)), ids) for _ in range(3)]
-        _, grads = batch_elastic_loss(branches)
+        vectors = rng.normal(size=(3, 12, 5))
+        _, grads = batch_elastic_loss(vectors, ids)
+        fd = finite_diff_grad(lambda v: batch_elastic_loss(v, ids)[0], vectors)
         for bi in range(3):
-            def loss_of(v, bi=bi):
-                swapped = [make_batch(v, ids) if j == bi else branches[j]
-                           for j in range(3)]
-                return batch_elastic_loss(swapped)[0]
-
-            fd = finite_diff_grad(loss_of, branches[bi].vectors)
-            assert max_rel_error(grads[bi], fd) < 1e-6
+            assert max_rel_error(grads[bi], fd[bi]) < 1e-6
 
     def test_inconsistent_ids_rejected(self):
         rng = np.random.default_rng(61)
-        a = make_batch(rng.normal(size=(4, 3)), [0, 0, 1, 1])
-        b = make_batch(rng.normal(size=(4, 3)), [0, 1, 0, 1])
         with pytest.raises(ValueError):
-            batch_elastic_loss([a, b])
+            batch_elastic_loss(rng.normal(size=(2, 4, 3)), [0, 0, 1])
 
     def test_plain_batch_variant_matches_frozen_weight(self):
         rng = np.random.default_rng(67)
         ids = np.repeat(np.arange(3), 4)
-        branches = [make_batch(rng.normal(size=(12, 5)), ids) for _ in range(2)]
-        plain, _ = batch_hard_triplet_loss(branches, eta=3.0)
+        vectors = rng.normal(size=(2, 12, 5))
+        plain, _ = batch_hard_triplet_loss(vectors, ids, 3.0)
         # recompute via mean of per-branch hinges over all valid units
         total, units = 0.0, 0
-        for b in branches:
-            hard = batch_hard_mine(pairwise_sq_dist(b), b.ids)
+        for v in vectors:
+            hard = batch_hard_mine(pairwise(v), ids)
             raw = 3.0 + hard.max_pos_dist - hard.min_neg_dist
             total += np.where(hard.valid & (raw > 0), raw, 0.0).sum()
             units += int(hard.valid.sum())
         assert plain == pytest.approx(total / units, rel=1e-12)
+
+    @pytest.mark.parametrize("weighting", ["softmax", None, float("inf")])
+    def test_unknown_weighting_rejected(self, weighting):
+        vectors, ids = random_batch(np.random.default_rng(73))
+        with pytest.raises(ValueError, match="weighting"):
+            single(batch_elastic_loss, vectors, ids, 3.0, weighting)
+
+    @pytest.mark.parametrize("eta", [0.0, -1.0, float("nan")])
+    def test_non_positive_eta_rejected(self, eta):
+        vectors, ids = random_batch(np.random.default_rng(79))
+        with pytest.raises(ValueError, match="eta must be positive"):
+            single(batch_elastic_loss, vectors, ids, eta)
 
 
 class TestMetricLossCore:
@@ -338,8 +345,7 @@ class TestMetricLossCore:
             oracle_w = list(core_w)
         else:
             core_w = oracle_w = weighting
-        loss, grads = _metric_loss([make_batch(v, ids) for v in vectors],
-                                   2.0, core_w)
+        loss, grads = batch_elastic_loss(np.stack(vectors), ids, 2.0, core_w)
         want, want_grads = naive_metric_loss(vectors, ids, 2.0, oracle_w)
         assert loss > 0.0
         assert abs(loss - want) <= 1e-12
@@ -348,15 +354,18 @@ class TestMetricLossCore:
 
 
 class TestDescriptorBatch:
+    """Checks on the stacked descriptor batch the loss takes."""
+
     def test_requires_two_vectors(self):
         with pytest.raises(ShapeError):
-            DescriptorBatch(np.zeros((1, 3)), np.array([0]))
+            batch_elastic_loss(np.zeros((1, 1, 3)), np.array([0]))
 
     def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            DescriptorBatch(np.array([[np.inf, 0.0], [0.0, 0.0]]), np.array([0, 1]))
+        with pytest.raises(NumericError):
+            single(batch_elastic_loss, np.array([[np.inf, 0.0], [0.0, 0.0]]),
+                   np.array([0, 1]))
 
-    def test_cameras_length_checked(self):
+    @pytest.mark.parametrize("shape", [(4, 3), (0, 4, 3), (1, 2, 4, 3)])
+    def test_requires_stacked_branches(self, shape):
         with pytest.raises(ShapeError):
-            DescriptorBatch(np.zeros((2, 2)), np.array([0, 1]),
-                            cameras=np.array([0]))
+            batch_elastic_loss(np.zeros(shape), np.array([0, 0, 1, 1]))

@@ -11,8 +11,7 @@ from elasticdrop.data_synth import SynthConfig, generate
 from elasticdrop.dropmask import (BatchDropBlock, BatchDropout, DropBlock,
                                   ElementDropout, NoDrop, OverlapRowDrop,
                                   SpatialDropout, UniformRowDrop)
-from elasticdrop.elastic_loss import DescriptorBatch, ElasticParams, \
-    batch_elastic_loss
+from elasticdrop.elastic_loss import batch_elastic_loss
 from elasticdrop.errors import ConfigError, DegenerateBatchError, ShapeError
 from elasticdrop.gradcheck import MODEL_TOL, check_model_end_to_end, \
     model_variants
@@ -85,9 +84,8 @@ class TestForwardTrain:
         assert np.array_equal(out.branch_descriptors[0],
                               infer(images, params, config))
         # total decomposes into one elastic term plus one cross entropy
-        elastic, _ = batch_elastic_loss(
-            [DescriptorBatch(out.branch_descriptors[0], ids)],
-            ElasticParams(eta=config.eta))
+        elastic, _ = batch_elastic_loss(np.stack(out.branch_descriptors), ids,
+                                        config.eta)
         ce, _ = softmax_cross_entropy(out.branch_logits[0], ids)
         assert total == pytest.approx(elastic + ce, abs=1e-12)
 
