@@ -516,7 +516,9 @@ def main(argv=None) -> int:
         # line below, so numpy's overflow warnings would only repeat it
         with np.errstate(all="ignore"):
             return args.func(args)
-    except ConfigError as exc:
+    # MemoryError: config sizes within int64 can still ask for more memory
+    # than the host has
+    except (ConfigError, MemoryError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except NumericError as exc:

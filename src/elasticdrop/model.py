@@ -468,8 +468,11 @@ def _fits(value, hint) -> bool:
     if hint in (int, float):
         if not isinstance(value, (int, hint)) or isinstance(value, bool):
             return False
-        # false for nan, infinity and an int too large for a float
-        return hint is int or abs(value) <= sys.float_info.max
+        # false for an int outside numpy's int64 sizes, and for nan,
+        # infinity and an int too large for a float
+        if hint is int:
+            return -2 ** 63 <= value < 2 ** 63
+        return abs(value) <= sys.float_info.max
     return isinstance(value, hint) if hint in (bool, str, type(None)) else True
 
 
@@ -477,10 +480,10 @@ def check_fields(cls, doc, where: str) -> None:
     """Reject a ``doc`` holding keys that are not fields of dataclass ``cls``
     or values that do not fit their field's type.
 
-    int fields reject bool and float, float fields accept int but not nan,
-    infinity (which Python's json reads) or an int beyond the float range,
-    tuple fields take a json list; a field of any other type (the drop
-    scheme) is left to its own parser.
+    int fields reject bool, float and an int outside the int64 range; float
+    fields accept int but not nan, infinity (which Python's json reads) or
+    an int beyond the float range; tuple fields take a json list; a field
+    of any other type (the drop scheme) is left to its own parser.
     """
     if not isinstance(doc, dict):
         raise ConfigError(f"{where} must be a json object, got {doc!r}")

@@ -110,28 +110,81 @@ def evaluate(query: QuerySet, gallery: GallerySet, ks=(1, 5, 10),
     return EvalMetrics({k: hits[k] / counted for k in ks}, ap_sum / counted, counted)
 
 
-def _reciprocal_set(rank: Array, i: int, k: int) -> Array:
-    """Indices j among i's top-(k+1) whose own top-(k+1) contains i."""
-    forward = rank[i, :k + 1]
-    backward = rank[forward, :k + 1]
-    return forward[(backward == i).any(axis=1)]
+def _partial_rank(norm: Array, m: int) -> Array:
+    """The first ``m`` columns of ``np.argsort(norm, axis=1, kind="stable")``.
+
+    Each row keeps the entries at or below its m-th smallest value, in index
+    order, and sorts them stably by value; ``argpartition``'s own order is
+    never used, since it breaks ties differently.
+    """
+    kth = np.partition(norm, m - 1, axis=1)[:, m - 1]
+    rank = np.empty((len(norm), m), dtype=np.int64)
+    for i, row in enumerate(norm):
+        # "not above" rather than "at or below" keeps nan, as the full sort does
+        cand = np.flatnonzero(~(row > kth[i]))
+        rank[i] = cand[np.argsort(row[cand], kind="stable")[:m]]
+    return rank
+
+
+def _reciprocal_sets(rank: Array, k: int) -> list[set[int]]:
+    """Per point i, the j among i's top-(k+1) whose own top-(k+1) holds i."""
+    forward = rank[:, :k + 1]
+    mutual = (rank[forward, :k + 1]
+              == np.arange(len(rank))[:, None, None]).any(axis=2)
+    return [set(f[keep].tolist()) for f, keep in zip(forward, mutual)]
+
+
+def _expanded_row(i: int, norm_row: Array, recip: list[set[int]],
+                  recip_half: list[set[int]]) -> tuple[Array, Array]:
+    """Sparse V row of point i: sorted columns and normalized exp(-dist)."""
+    base = recip[i]
+    expanded = base | {i}
+    for c in base:
+        cand = recip_half[c]
+        if cand and len(cand & base) > (2.0 / 3.0) * len(cand):
+            expanded |= cand
+    idx = np.fromiter(sorted(expanded), dtype=np.int64, count=len(expanded))
+    weights = np.exp(-norm_row[idx])
+    return idx, weights / weights.sum()
+
+
+def _mean_row(rows: list[tuple[Array, Array]], neighbors: Array) -> tuple[Array, Array]:
+    """Mean of sparse rows, summing each column in neighbor order."""
+    cols, inverse = np.unique(np.concatenate([rows[j][0] for j in neighbors]),
+                              return_inverse=True)
+    sums = np.bincount(inverse, weights=np.concatenate([rows[j][1] for j in neighbors]),
+                       minlength=cols.size)
+    return cols, sums / len(neighbors)
 
 
 def k_reciprocal_rerank(q_g, q_q, g_g, k1: int = 20, k2: int = 6,
                         lambda_value: float = 0.3) -> Array:
     """Refine query-gallery distances with k-reciprocal neighborhood encoding.
 
-    Steps, on the pooled (nq + ng) point set with distances normalized by
-    their global maximum:
+    Zhong et al. 2017 (arXiv:1701.08398), on the pooled n = nq + ng point
+    set with distances normalized by their global maximum. V is kept as
+    sparse rows (sorted columns, weights) and never as a dense (n, n) matrix:
 
-    1. reciprocal neighbor set R(i, k1), expanded by each candidate's
+    1. ranks: the first m = max(k1 + 1, k2) columns of each row's stable
+       ascending order, from one ``np.partition`` and a stable sort of the
+       entries at or below the m-th value (O(n^2) plus the ties);
+    2. reciprocal neighbor sets R(i, k1) and R(i, round(k1/2)), one Python
+       set per point; R(i, k1) is expanded by each candidate's
        R(c, round(k1/2)) whenever two thirds of it already overlaps R(i, k1);
-    2. sparse feature V[i] = normalized exp(-dist) over the expanded set
-       (the point itself is always included);
-    3. local query expansion: V[i] replaced by the mean of V over i's top-k2
-       neighbors (skipped for k2 <= 1);
-    4. Jaccard distance 1 - sum(min(Vi, Vj)) / sum(max(Vi, Vj));
-    5. output lambda * original_q_g + (1 - lambda) * jaccard.
+    3. sparse V[i] = normalized exp(-dist) over the expanded set (the point
+       itself is always included);
+    4. local query expansion: V[i] replaced by the mean of the V rows of i's
+       top-k2 neighbors, duplicate columns summed (skipped for k2 <= 1);
+    5. Jaccard distance 1 - sum(min(Vi, Vj)) / sum(max(Vi, Vj)) through an
+       inverted index of the gallery rows' nonzeros sorted by column: a
+       query touches only the gallery entries in its own columns, and
+       sum(max) = sum(Vi) + sum(Vj) - sum(min);
+    6. output lambda * original_q_g + (1 - lambda) * jaccard.
+
+    Past the O(n^2) ranking, the cost grows with the nonzeros of V, a few
+    dozen per row, rather than with n^2 per query. ``tests/oracles.py``
+    keeps the dense form as ``dense_rerank``; the two agree to the last
+    bits, since the Jaccard sums run in another order.
     """
     q_g = np.asarray(q_g, dtype=np.float64)
     q_q = np.asarray(q_q, dtype=np.float64)
@@ -148,35 +201,38 @@ def k_reciprocal_rerank(q_g, q_q, g_g, k1: int = 20, k2: int = 6,
     if not 0.0 <= lambda_value <= 1.0:
         raise ConfigError(f"k_reciprocal_rerank: lambda {lambda_value} outside [0, 1]")
 
-    full = np.block([[q_q, q_g], [q_g.T, g_g]])
-    peak = full.max()
-    norm = full / peak if peak > 0 else full.copy()
-    rank = np.argsort(norm, axis=1, kind="stable")
+    norm = np.block([[q_q, q_g], [q_g.T, g_g]])
+    peak = norm.max()
+    if peak > 0:
+        norm /= peak
+    rank = _partial_rank(norm, max(k1 + 1, k2))
 
     half = max(1, int(np.rint(k1 / 2.0)))
-    recip = [_reciprocal_set(rank, i, k1) for i in range(total)]
-    recip_half = [_reciprocal_set(rank, i, half) for i in range(total)]
-
-    v = np.zeros((total, total))
-    for i in range(total):
-        base = set(int(j) for j in recip[i])
-        expanded = base | {i}
-        for c in recip[i]:
-            cand = set(int(j) for j in recip_half[c])
-            if cand and len(cand & base) > (2.0 / 3.0) * len(cand):
-                expanded |= cand
-        idx = np.fromiter(sorted(expanded), dtype=np.int64)
-        weights = np.exp(-norm[i, idx])
-        v[i, idx] = weights / weights.sum()
-
+    recip = _reciprocal_sets(rank, k1)
+    recip_half = _reciprocal_sets(rank, half)
+    rows = [_expanded_row(i, norm[i], recip, recip_half) for i in range(total)]
     if k2 > 1:
-        v = np.stack([v[rank[i, :k2]].mean(axis=0) for i in range(total)])
+        rows = [_mean_row(rows, rank[i, :k2]) for i in range(total)]
 
-    v_gallery = v[nq:]
+    # inverted index: gallery nonzeros as (column, gallery row, value),
+    # sorted by column, with each column's start offset
+    g_cols = np.concatenate([cols for cols, _ in rows[nq:]])
+    by_col = np.argsort(g_cols, kind="stable")
+    g_rows = np.repeat(np.arange(ng), [cols.size for cols, _ in rows[nq:]])[by_col]
+    g_vals = np.concatenate([vals for _, vals in rows[nq:]])[by_col]
+    starts = np.searchsorted(g_cols[by_col], np.arange(total + 1))
+    g_sums = np.array([vals.sum() for _, vals in rows[nq:]])
+
     jaccard = np.zeros((nq, ng))
     for i in range(nq):
-        mins = np.minimum(v[i], v_gallery).sum(axis=1)
-        maxs = np.maximum(v[i], v_gallery).sum(axis=1)
+        cols, vals = rows[i]
+        lo = starts[cols]
+        counts = starts[cols + 1] - lo
+        # index entries of row i's columns: one run of counts[t] from lo[t]
+        hit = np.arange(counts.sum()) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
+        mins = np.bincount(g_rows[hit], minlength=ng,
+                           weights=np.minimum(np.repeat(vals, counts), g_vals[hit]))
+        maxs = vals.sum() + g_sums - mins
         jaccard[i] = 1.0 - np.divide(mins, maxs, out=np.zeros(ng), where=maxs > 0)
 
     return lambda_value * q_g + (1.0 - lambda_value) * jaccard

@@ -5,7 +5,8 @@ python loops and sets, independent of the package's vectorized code paths.
 The training-step oracle ``naive_forward_train`` keeps the straightforward
 branch-by-branch network path (mask, resblock, pool and backward once per
 branch) that ``model.forward_train`` factors through one shared resblock
-pass.
+pass, and ``dense_rerank`` keeps the dense-V re-ranking that
+``retrieval_eval.k_reciprocal_rerank`` computes on sparse rows.
 """
 
 import math
@@ -220,6 +221,61 @@ def rerank_reference(q_g, q_q, g_g, k1=20, k2=6, lambda_value=0.3):
             jaccard = 1.0 - (num / den if den > 0 else 0.0)
             final[i, j] = lambda_value * q_g[i, j] + (1.0 - lambda_value) * jaccard
     return final
+
+
+def _dense_reciprocal_set(rank, i, k):
+    """Indices j among i's top-(k+1) whose own top-(k+1) contains i."""
+    forward = rank[i, :k + 1]
+    backward = rank[forward, :k + 1]
+    return forward[(backward == i).any(axis=1)]
+
+
+def dense_rerank(q_g, q_q, g_g, k1=20, k2=6, lambda_value=0.3):
+    """The dense form of ``retrieval_eval.k_reciprocal_rerank``.
+
+    The same steps on a dense (n, n) V, with a full stable argsort and
+    per-query (ng, n) min/max reductions. The production routine keeps V as
+    sparse rows and sums the Jaccard terms in another order, so the two
+    agree to the last bits. Inputs are assumed valid.
+    """
+    q_g = np.asarray(q_g, dtype=np.float64)
+    q_q = np.asarray(q_q, dtype=np.float64)
+    g_g = np.asarray(g_g, dtype=np.float64)
+    nq, ng = q_g.shape
+    total = nq + ng
+
+    full = np.block([[q_q, q_g], [q_g.T, g_g]])
+    peak = full.max()
+    norm = full / peak if peak > 0 else full.copy()
+    rank = np.argsort(norm, axis=1, kind="stable")
+
+    half = max(1, int(np.rint(k1 / 2.0)))
+    recip = [_dense_reciprocal_set(rank, i, k1) for i in range(total)]
+    recip_half = [_dense_reciprocal_set(rank, i, half) for i in range(total)]
+
+    v = np.zeros((total, total))
+    for i in range(total):
+        base = set(int(j) for j in recip[i])
+        expanded = base | {i}
+        for c in recip[i]:
+            cand = set(int(j) for j in recip_half[c])
+            if cand and len(cand & base) > (2.0 / 3.0) * len(cand):
+                expanded |= cand
+        idx = np.fromiter(sorted(expanded), dtype=np.int64)
+        weights = np.exp(-norm[i, idx])
+        v[i, idx] = weights / weights.sum()
+
+    if k2 > 1:
+        v = np.stack([v[rank[i, :k2]].mean(axis=0) for i in range(total)])
+
+    v_gallery = v[nq:]
+    jaccard = np.zeros((nq, ng))
+    for i in range(nq):
+        mins = np.minimum(v[i], v_gallery).sum(axis=1)
+        maxs = np.maximum(v[i], v_gallery).sum(axis=1)
+        jaccard[i] = 1.0 - np.divide(mins, maxs, out=np.zeros(ng), where=maxs > 0)
+
+    return lambda_value * q_g + (1.0 - lambda_value) * jaccard
 
 
 def nearest_neighbor_id_accuracy(query_images, query_ids, ref_images, ref_ids):

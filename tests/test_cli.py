@@ -273,6 +273,24 @@ class TestTrainCommand:
         assert_one_config_error_line(capsys, f"{key} must be of type float, "
                                              f"got {value!r}")
 
+    @pytest.mark.parametrize("section, key, value, fragment", [
+        ("data", "num_ids", 10 ** 30, "num_ids must be of type int"),
+        ("model", "feat_channels", 10 ** 30, "feat_channels must be of type int"),
+        ("data", "num_ids", 2 ** 63, "num_ids must be of type int"),
+        # inside int64 but past any address space, so the allocation fails
+        # whatever the host's overcommit policy
+        ("data", "num_ids", 2 ** 50, "Unable to allocate"),
+    ], ids=["num_ids_1e30", "feat_channels_1e30", "num_ids_2e63",
+            "num_ids_2e50"])
+    def test_oversized_int_exit_1(self, tmp_path, capsys, section, key, value,
+                                  fragment):
+        doc = micro_config(tmp_path)
+        doc[section][key] = value
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        assert main(["train", "--config", str(path)]) == 1
+        assert_one_config_error_line(capsys, fragment)
+
     def test_diverging_training_exit_2(self, tmp_path, capsys):
         # the step size overflows the weights, then the descriptors; numpy
         # must not warn on the way

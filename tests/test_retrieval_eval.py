@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from oracles import (naive_evaluate, random_retrieval_instance,
+from oracles import (dense_rerank, naive_evaluate, random_retrieval_instance,
                      rerank_reference)
 
 from elasticdrop.elastic_loss import sq_dist_matrix
@@ -205,6 +208,74 @@ class TestKReciprocalRerank:
         rr = evaluate(make_set(q_desc, q_ids, q_cams),
                       make_set(g_desc, g_ids, g_cams), ks=[1], dist=dist)
         assert rr.mAP >= base.mAP - 0.05
+
+
+def clustered_sets(rng, nq=60, ng=180, n_ids=20, dim=8):
+    """Query and gallery sets drawn around per-identity centres."""
+    centers = rng.normal(scale=2.0, size=(n_ids, dim))
+
+    def draw(n):
+        ids = np.arange(n) % n_ids
+        cams = np.arange(n) // n_ids % 3
+        return make_set(centers[ids] + rng.normal(size=(n, dim)), ids, cams)
+
+    return draw(nq), draw(ng)
+
+
+def rerank_blocks(q_desc, g_desc):
+    return (sq_dist_matrix(q_desc, g_desc), sq_dist_matrix(q_desc, q_desc),
+            sq_dist_matrix(g_desc, g_desc))
+
+
+@st.composite
+def integer_rerank_cases(draw):
+    """Small integer-valued descriptors, so distances tie often."""
+    nq, ng = draw(st.integers(2, 12)), draw(st.integers(2, 12))
+    dim = draw(st.integers(1, 3))
+    values = st.integers(-2, 2)
+    q = draw(arrays(np.int64, (nq, dim), elements=values)).astype(float)
+    g = draw(arrays(np.int64, (ng, dim), elements=values)).astype(float)
+    total = nq + ng
+    return (q, g, draw(st.integers(1, total - 1)),
+            draw(st.integers(1, total - 1)), draw(st.floats(0.0, 1.0)))
+
+
+class TestSparseRerank:
+    """The sparse routine against the dense form it replaced and the
+    step-by-step definition."""
+
+    @pytest.mark.parametrize("lam", [0.0, 0.3, 1.0])
+    def test_matches_dense_oracle_on_clustered_data(self, lam):
+        query, gallery = clustered_sets(np.random.default_rng(11))
+        blocks = rerank_blocks(query.descriptors, gallery.descriptors)
+        fast = k_reciprocal_rerank(*blocks, k1=20, k2=6, lambda_value=lam)
+        dense = dense_rerank(*blocks, k1=20, k2=6, lambda_value=lam)
+        assert np.abs(fast - dense).max() < 1e-12
+        assert (evaluate(query, gallery, ks=[1, 5, 10], dist=fast).to_dict()
+                == evaluate(query, gallery, ks=[1, 5, 10], dist=dense).to_dict())
+
+    @pytest.mark.parametrize("values, k1, k2", [
+        (3, 1, 5), (3, 3, 8), (3, 6, 20), (1, 5, 10)],
+        ids=["k1_1", "k1_3", "k1_6", "all_zero"])
+    def test_ties_follow_the_stable_order(self, values, k1, k2):
+        # integer descriptors below ``values`` (all zero for 1), so distances
+        # tie; k2 > k1 + 1, so query expansion reads ranks past R(i, k1)
+        rng = np.random.default_rng(5)
+        q = rng.integers(0, values, size=(12, 2)).astype(float)
+        g = rng.integers(0, values, size=(28, 2)).astype(float)
+        blocks = rerank_blocks(q, g)
+        fast = k_reciprocal_rerank(*blocks, k1=k1, k2=k2, lambda_value=0.3)
+        ref = rerank_reference(*blocks, k1=k1, k2=k2, lambda_value=0.3)
+        assert np.abs(fast - ref).max() < 1e-9
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(integer_rerank_cases())
+    def test_matches_definition_property(self, case):
+        q, g, k1, k2, lam = case
+        blocks = rerank_blocks(q, g)
+        fast = k_reciprocal_rerank(*blocks, k1=k1, k2=k2, lambda_value=lam)
+        ref = rerank_reference(*blocks, k1=k1, k2=k2, lambda_value=lam)
+        assert np.abs(fast - ref).max() < 1e-9
 
 
 class TestClampedParams:
