@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, check_array_bytes
 
 Array = np.ndarray
 
@@ -58,6 +58,12 @@ class SynthConfig:
         if not (0.0 <= self.occlusion_fraction <= 1.0
                 and 0.0 <= self.occluded_query_prob <= 1.0):
             raise ConfigError("SynthConfig: fractions must lie in [0, 1]")
+        check_array_bytes("SynthConfig", {
+            "images (num_ids * samples_per_id, height, width, channels)":
+                (self.num_ids * self.samples_per_id, self.height, self.width,
+                 self.channels),
+            "camera shifts (num_cameras, channels)":
+                (self.num_cameras, self.channels)})
 
 
 @dataclass

@@ -55,20 +55,40 @@ class HardPairs:
     valid: np.ndarray
 
 
-def sq_dist_matrix(a, b) -> Array:
-    """Squared euclidean distances between two descriptor sets.
+# Output bytes per row block of ``sq_dist_matrix``: the block and its
+# scratch stay in L2 while every feature passes over them.
+_SQ_DIST_BLOCK_BYTES = 256 * 1024
 
-    Accumulates over the feature dimension in index order so the result is
-    bit-identical to a naive per-pair loop.
+
+def sq_dist_matrix(a, b) -> Array:
+    """Squared euclidean distances between (n, D) and (m, D) descriptor sets.
+
+    The (n, m) result is filled in blocks of rows of ``a``, each about
+    ``_SQ_DIST_BLOCK_BYTES`` of output (at least one row). Within a block the
+    features go in index order: one preallocated scratch block takes
+    ``t = a[i, d] - b[j, d]``, then ``t * t``, which is added to the block.
+    So every distance is ``((0 + s_0) + s_1) + ... + s_(D-1)``, the same
+    operations in the same order as a naive per-pair loop, and bit-identical
+    to it; only the memory traffic changes, since no (n, m) temporary is
+    allocated per feature. A GEMM identity ``|a|^2 + |b|^2 - 2 a.b`` or a
+    reduction over a stacked (D, rows, m) difference would round differently.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
         raise ShapeError(f"sq_dist_matrix: {a.shape} vs {b.shape}")
-    out = np.zeros((a.shape[0], b.shape[0]))
-    for d in range(a.shape[1]):
-        diff = a[:, d, None] - b[None, :, d]
-        out += diff * diff
+    n, m = a.shape[0], b.shape[0]
+    out = np.zeros((n, m))
+    b_t = np.ascontiguousarray(b.T)
+    rows = max(1, _SQ_DIST_BLOCK_BYTES // (out.itemsize * max(m, 1)))
+    scratch = np.empty((min(rows, n), m))
+    for start in range(0, n, rows):
+        block = out[start:start + rows]
+        tmp = scratch[:block.shape[0]]
+        for d in range(a.shape[1]):
+            np.subtract(a[start:start + rows, d, None], b_t[d], out=tmp)
+            np.multiply(tmp, tmp, out=tmp)
+            block += tmp
     return out
 
 

@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the array-size check
+the config classes share."""
+
+import math
+
+import numpy as np
 
 
 class ShapeError(ValueError):
@@ -15,3 +20,17 @@ class NumericError(ArithmeticError):
 
 class DegenerateBatchError(ValueError):
     """Batch has no anchor with both a positive and a negative sample."""
+
+
+def check_array_bytes(where: str, arrays: dict) -> None:
+    """Raise ConfigError if a float64 array of one of the ``arrays`` shapes
+    (description -> shape) would exceed the bytes numpy can index.
+
+    numpy refuses such an array with a bare ``ValueError``; a config that
+    asks for one is rejected before anything is allocated.
+    """
+    limit = np.iinfo(np.intp).max
+    for name, shape in arrays.items():
+        if math.prod(shape) * 8 > limit:
+            raise ConfigError(f"{where}: {name} of shape {shape} would take "
+                              f"more than {limit} bytes")

@@ -52,7 +52,7 @@ from .dropmask import (BatchDropBlock, BatchDropout, DropBlock, DropStrategyKind
                        ElementDropout, NoDrop, OverlapRowDrop, SpatialDropout,
                        UniformRowDrop)
 from .elastic_loss import batch_elastic_loss
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, ShapeError, check_array_bytes
 from .numerics import (Array, ParamTensor, adam_step, init_linear, linear_backward,
                        linear_forward, relu_backward, relu_forward,
                        softmax_cross_entropy)
@@ -109,6 +109,12 @@ class ModelConfig:
                               f"got {self.seed}")
         if self.keep_branches is not None and self.keep_branches < 1:
             raise ConfigError("ModelConfig: keep_branches must be >= 1")
+        feat, embed = self.feat_channels, self.embed_dim
+        check_array_bytes("ModelConfig", {
+            "weights (in_channels, feat_channels)": (self.in_channels, feat),
+            "weights (feat_channels, feat_channels)": (feat, feat),
+            "weights (feat_channels, embed_dim)": (feat, embed),
+            "weights (embed_dim, num_classes)": (embed, self.num_classes)})
         if not isinstance(self.drop_scheme, dropmask.RANDOM_KINDS):
             # building the schedule raises when it does not fit the grid
             count = self.scheme_branches

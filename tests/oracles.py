@@ -22,9 +22,12 @@ from elasticdrop.numerics import (linear_backward, linear_forward,
 
 
 def naive_sq_dist(u, v) -> float:
+    # each square is one correctly rounded product: ``** 2`` goes through
+    # C's pow, which can land one ulp off
     s = 0.0
     for d in range(len(u)):
-        s += (u[d] - v[d]) ** 2
+        diff = u[d] - v[d]
+        s += diff * diff
     return s
 
 

@@ -280,8 +280,21 @@ class TestTrainCommand:
         # inside int64 but past any address space, so the allocation fails
         # whatever the host's overcommit policy
         ("data", "num_ids", 2 ** 50, "Unable to allocate"),
+        # inside int64, but an array's byte count would pass numpy's limit
+        ("data", "num_ids", 2 ** 62, "SynthConfig: images (num_ids"),
+        ("data", "num_ids", 2 ** 63 - 1, "SynthConfig: images (num_ids"),
+        ("model", "feat_channels", 2 ** 62,
+         "ModelConfig: weights (in_channels, feat_channels)"),
+        ("model", "feat_channels", 2 ** 63 - 1,
+         "ModelConfig: weights (in_channels, feat_channels)"),
+        ("model", "embed_dim", 2 ** 62,
+         "ModelConfig: weights (feat_channels, embed_dim)"),
+        ("model", "embed_dim", 2 ** 63 - 1,
+         "ModelConfig: weights (feat_channels, embed_dim)"),
     ], ids=["num_ids_1e30", "feat_channels_1e30", "num_ids_2e63",
-            "num_ids_2e50"])
+            "num_ids_2e50", "num_ids_2e62", "num_ids_int64_max",
+            "feat_channels_2e62", "feat_channels_int64_max", "embed_dim_2e62",
+            "embed_dim_int64_max"])
     def test_oversized_int_exit_1(self, tmp_path, capsys, section, key, value,
                                   fragment):
         doc = micro_config(tmp_path)

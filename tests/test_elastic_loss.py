@@ -1,8 +1,15 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from oracles import naive_hard_mine, naive_metric_loss, naive_pairwise_sq_dist
+from oracles import (naive_cross_sq_dist, naive_hard_mine, naive_metric_loss,
+                     naive_pairwise_sq_dist)
 
+from elasticdrop import elastic_loss
 from elasticdrop.elastic_loss import (batch_elastic_loss, batch_hard_mine,
                                       batch_hard_triplet_loss, elastic_weight,
                                       sq_dist_matrix)
@@ -49,6 +56,87 @@ class TestPairwiseSqDist:
         dist = pairwise(vectors)
         assert np.array_equal(dist, dist.T)
         assert not np.diagonal(dist).any()
+
+
+def block_rows(m):
+    """Rows of ``a`` per block of ``sq_dist_matrix`` against m columns."""
+    return max(1, elastic_loss._SQ_DIST_BLOCK_BYTES // (8 * max(m, 1)))
+
+
+def assert_matches_naive(a, b):
+    """Bit-identical to the per-pair loop, with both inputs left as given."""
+    a_before, b_before = np.array(a, copy=True), np.array(b, copy=True)
+    dist = sq_dist_matrix(a, b)
+    assert dist.dtype == np.float64 and dist.shape == (len(a), len(b))
+    assert np.array_equal(dist, naive_cross_sq_dist(a, b))
+    assert np.array_equal(a, a_before) and np.array_equal(b, b_before)
+
+
+@st.composite
+def blocked_cases(draw):
+    """(a, b, block bytes): small sets, any block height from one row up."""
+    n, m = draw(st.integers(0, 9)), draw(st.integers(0, 9))
+    dim = draw(st.integers(0, 12))
+    if draw(st.booleans()):
+        values = st.integers(-2, 2)  # ties everywhere
+    else:
+        values = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+    a = draw(arrays(np.float64, (n, dim), elements=values))
+    b = draw(arrays(np.float64, (m, dim), elements=values))
+    return a, b, draw(st.integers(1, 10)) * 8 * max(m, 1)
+
+
+class TestSqDistBlocks:
+    """The row-blocked kernel against the naive per-pair loop."""
+
+    @pytest.mark.parametrize("m, full_blocks, extra_rows", [
+        (elastic_loss._SQ_DIST_BLOCK_BYTES // 8 + 1, 3, 0),
+        (1350, 2, 5),
+        (1350, 2, 0),
+        (40, 0, 7),
+    ], ids=["one_row_blocks", "ragged_last_block", "full_blocks_only",
+            "single_block"])
+    def test_block_layouts(self, m, full_blocks, extra_rows):
+        # 9 features: numpy's pairwise summation regroups sums of 8 or more
+        # terms, so a reduction over features would show here
+        n = full_blocks * block_rows(m) + extra_rows
+        rng = np.random.default_rng(n)
+        assert_matches_naive(rng.normal(size=(n, 9)), rng.normal(size=(m, 9)))
+
+    @pytest.mark.parametrize("n, m, dim", [
+        (7, 3, 32), (3, 7, 32), (0, 5, 3), (5, 0, 3), (0, 0, 3), (4, 6, 0)])
+    def test_unequal_and_empty_sets(self, n, m, dim):
+        rng = np.random.default_rng(n * 10 + m)
+        assert_matches_naive(rng.normal(size=(n, dim)),
+                             rng.normal(size=(m, dim)))
+
+    def test_strided_fortran_and_int_inputs(self):
+        rng = np.random.default_rng(7)
+        wide = rng.normal(size=(2 * 60, 3 * 10))
+        strided = wide[::2, ::3]
+        assert not strided.flags.c_contiguous
+        fortran = np.asfortranarray(rng.normal(size=(50, 10)))
+        ints = rng.integers(-5, 6, size=(30, 10))
+        assert_matches_naive(strided, fortran)
+        assert_matches_naive(fortran, strided)
+        assert_matches_naive(ints, strided)
+        assert_matches_naive(ints, ints[::-1])
+
+    def test_tie_heavy_integer_data(self):
+        # values in {-1, 0, 1}: most distances tie, across ragged blocks
+        rng = np.random.default_rng(9)
+        m = 1350
+        a = rng.integers(-1, 2, size=(block_rows(m) + 3, 3)).astype(float)
+        b = rng.integers(-1, 2, size=(m, 3)).astype(float)
+        assert_matches_naive(a, b)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @given(blocked_cases())
+    def test_matches_naive_property(self, case):
+        a, b, block_bytes = case
+        with mock.patch.object(elastic_loss, "_SQ_DIST_BLOCK_BYTES",
+                               block_bytes):
+            assert_matches_naive(a, b)
 
 
 class TestBatchHardMine:
