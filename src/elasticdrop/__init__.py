@@ -10,10 +10,9 @@ __version__ = "0.1.0"
 
 from .data_synth import Sample, SynthConfig, SynthDataset, generate, pk_batches
 from .dropmask import (BatchDropBlock, BatchDropout, DropBlock, DropStrategyKind,
-                       ElementDropout, NoDrop, OverlapRowDrop, RowPartition,
-                       SpatialDropout, UniformRowDrop, apply_mask, baseline_mask,
-                       branch_masks, drop_patch_mask, overlap_row_partition,
-                       uniform_row_partition)
+                       ElementDropout, NoDrop, OverlapRowDrop, SpatialDropout,
+                       UniformRowDrop, apply_mask, baseline_mask, branch_masks,
+                       overlap_row_partition, uniform_row_partition)
 from .elastic_loss import (HardPairs, batch_elastic_loss, batch_hard_mine,
                            batch_hard_triplet_loss, elastic_weight,
                            sq_dist_matrix)

@@ -27,7 +27,7 @@ from .data_synth import SynthConfig, generate, stack_images
 from .dropmask import (BatchDropBlock, BatchDropout, DropBlock, ElementDropout,
                        NoDrop, OverlapRowDrop, SpatialDropout, UniformRowDrop,
                        branch_masks)
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, NumericError, check_array_bytes
 from .gradcheck import run_gradient_checks
 from .model import (ModelConfig, ModelParams, check_fields, config_from_dict,
                     config_to_dict, infer, load_checkpoint, save_checkpoint,
@@ -332,6 +332,8 @@ def _mask_lines(masks, height, width, scheme_desc) -> list[str]:
 
 
 def cmd_masks(args) -> int:
+    check_array_bytes("masks", {"mask (height, width)": (args.height,
+                                                         args.width)})
     if args.scheme == "uniform":
         scheme = UniformRowDrop(m=args.m)
         desc = f"uniform(m={args.m})"
@@ -517,9 +519,9 @@ def main(argv=None) -> int:
         with np.errstate(all="ignore"):
             return args.func(args)
     # MemoryError: config sizes within int64 can still ask for more memory
-    # than the host has
+    # than the host has; one raised by a Python-level allocation has no text
     except (ConfigError, MemoryError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+        print(f"config error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)

@@ -1,10 +1,12 @@
 """Deterministic row-band drop schedules plus randomized dropout baselines.
 
 The consecutive schedule partitions the feature-map height into horizontal
-patches and assigns branch i the mask that zeroes exactly patch i, the same
-rows for every sample in every batch. Masks are float 0/1 grids applied by
+patches, a tuple of (start, end) row ranges from top to bottom, and assigns
+branch i the mask that zeroes exactly range i, the same rows for every
+sample in every batch. Masks are float 0/1 grids applied by
 multiplication, so the backward pass is the same mask applied to the
-upstream gradient.
+upstream gradient. ``DROP_SCHEMES`` is the one table of scheme classes,
+keyed by the name configs and checkpoints use.
 
 The five randomized strategies (element dropout, spatial dropout, batch
 dropout, dropblock, batch dropblock) exist for side-by-side comparison runs
@@ -21,33 +23,6 @@ import numpy as np
 from .errors import ConfigError, ShapeError
 
 Array = np.ndarray
-
-
-@dataclass(frozen=True)
-class RowPartition:
-    """Ordered (start, end) row ranges covering [0, height)."""
-
-    height: int
-    ranges: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        if self.height <= 0:
-            raise ConfigError(f"RowPartition: height must be positive, got {self.height}")
-        covered = np.zeros(self.height, dtype=bool)
-        prev_start = -1
-        for start, end in self.ranges:
-            if not (0 <= start < end <= self.height):
-                raise ConfigError(f"RowPartition: bad range [{start}, {end}) for height {self.height}")
-            if start < prev_start:
-                raise ConfigError("RowPartition: ranges must be sorted by start row")
-            prev_start = start
-            covered[start:end] = True
-        if not covered.all():
-            raise ConfigError("RowPartition: ranges must cover every row")
-
-    @property
-    def branch_count(self) -> int:
-        return len(self.ranges)
 
 
 # --- drop strategy kinds -------------------------------------------------
@@ -145,14 +120,25 @@ class NoDrop:
     """Single branch, nothing dropped."""
 
 
-DropStrategyKind = Union[ElementDropout, SpatialDropout, BatchDropout,
-                         DropBlock, BatchDropBlock, UniformRowDrop,
-                         OverlapRowDrop, NoDrop]
+# the one name -> class table of drop schemes; configs and checkpoints name
+# a scheme by its key
+DROP_SCHEMES = {
+    "uniform": UniformRowDrop,
+    "overlap": OverlapRowDrop,
+    "none": NoDrop,
+    "element_dropout": ElementDropout,
+    "spatial_dropout": SpatialDropout,
+    "batch_dropout": BatchDropout,
+    "dropblock": DropBlock,
+    "batch_dropblock": BatchDropBlock,
+}
+
+DropStrategyKind = Union[tuple(DROP_SCHEMES.values())]
 
 RANDOM_KINDS = (ElementDropout, SpatialDropout, BatchDropout, DropBlock, BatchDropBlock)
 
 
-def uniform_row_partition(height: int, m: int) -> RowPartition:
+def uniform_row_partition(height: int, m: int) -> tuple[tuple[int, int], ...]:
     """Split [0, height) into m equal contiguous row ranges, top to bottom."""
     if m <= 0:
         raise ConfigError(f"uniform_row_partition: m must be positive, got {m}")
@@ -160,11 +146,11 @@ def uniform_row_partition(height: int, m: int) -> RowPartition:
         raise ConfigError(
             f"uniform_row_partition: m={m} must divide height={height}")
     step = height // m
-    ranges = tuple((i * step, (i + 1) * step) for i in range(m))
-    return RowPartition(height=height, ranges=ranges)
+    return tuple((i * step, (i + 1) * step) for i in range(m))
 
 
-def overlap_row_partition(height: int, patch_h: int, overlap: int) -> RowPartition:
+def overlap_row_partition(height: int, patch_h: int, overlap: int
+                          ) -> tuple[tuple[int, int], ...]:
     """Patches of patch_h rows placed at stride patch_h - overlap.
 
     Ranges are emitted while start + patch_h <= height; if the last emitted
@@ -183,23 +169,7 @@ def overlap_row_partition(height: int, patch_h: int, overlap: int) -> RowPartiti
         start += stride
     if ranges[-1][1] < height:
         ranges.append((height - patch_h, height))
-    return RowPartition(height=height, ranges=tuple(ranges))
-
-
-def drop_patch_mask(partition: RowPartition, branch: int, width: int) -> Array:
-    """Keep/drop grid for branch i (1-based): zeros exactly range i's rows.
-
-    Returns a float64 array of shape (height, width) with entries 0 or 1.
-    """
-    if width <= 0:
-        raise ConfigError(f"drop_patch_mask: width must be positive, got {width}")
-    if not 1 <= branch <= partition.branch_count:
-        raise ConfigError(
-            f"drop_patch_mask: branch {branch} outside 1..{partition.branch_count}")
-    mask = np.ones((partition.height, width))
-    start, end = partition.ranges[branch - 1]
-    mask[start:end, :] = 0.0
-    return mask
+    return tuple(ranges)
 
 
 def apply_mask(feature_map, mask) -> Array:
@@ -226,18 +196,27 @@ def apply_mask(feature_map, mask) -> Array:
 def branch_masks(kind: DropStrategyKind, height: int, width: int) -> list[Array]:
     """All branch masks of a deterministic schedule, in branch order.
 
-    NoDrop yields a single all-ones mask; randomized kinds have no fixed
-    masks and are rejected here (see ``baseline_mask``).
+    Branch i's mask is a float64 (height, width) grid of ones with the rows
+    of range i zeroed; NoDrop is the one empty range, a single all-ones
+    mask. Randomized kinds have no fixed masks and are rejected here (see
+    ``baseline_mask``).
     """
+    if width <= 0:
+        raise ConfigError(f"branch_masks: width must be positive, got {width}")
     if isinstance(kind, NoDrop):
-        return [np.ones((height, width))]
-    if isinstance(kind, UniformRowDrop):
-        part = uniform_row_partition(height, kind.m)
+        ranges = ((0, 0),)
+    elif isinstance(kind, UniformRowDrop):
+        ranges = uniform_row_partition(height, kind.m)
     elif isinstance(kind, OverlapRowDrop):
-        part = overlap_row_partition(height, kind.patch_h, kind.overlap)
+        ranges = overlap_row_partition(height, kind.patch_h, kind.overlap)
     else:
         raise ConfigError(f"branch_masks: {type(kind).__name__} is not deterministic")
-    return [drop_patch_mask(part, i, width) for i in range(1, part.branch_count + 1)]
+    masks = []
+    for start, end in ranges:
+        mask = np.ones((height, width))
+        mask[start:end] = 0.0
+        masks.append(mask)
+    return masks
 
 
 def baseline_mask(kind: DropStrategyKind, height: int, width: int, channels: int,

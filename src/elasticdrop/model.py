@@ -48,11 +48,9 @@ import numpy as np
 
 from . import dropmask
 from .data_synth import Sample, pk_batches, stack_images
-from .dropmask import (BatchDropBlock, BatchDropout, DropBlock, DropStrategyKind,
-                       ElementDropout, NoDrop, OverlapRowDrop, SpatialDropout,
-                       UniformRowDrop)
+from .dropmask import DROP_SCHEMES, DropBlock, DropStrategyKind, UniformRowDrop
 from .elastic_loss import batch_elastic_loss
-from .errors import ConfigError, ShapeError, check_array_bytes
+from .errors import ConfigError, NumericError, ShapeError, check_array_bytes
 from .numerics import (Array, ParamTensor, adam_step, init_linear, linear_backward,
                        linear_forward, relu_backward, relu_forward,
                        softmax_cross_entropy)
@@ -393,11 +391,16 @@ def infer(images, params: ModelParams, config: ModelConfig) -> Array:
     """Mask-free descriptors: encoder -> resblock -> average pool -> embed.
 
     The global branch's path: the shared trunk with one all-ones keep row.
+    Raises NumericError when a descriptor is not finite (finite weights
+    can still overflow).
     """
     feat = encode(images, params, config).reshape(-1, config.feat_channels)
     keep = np.ones((1, config.height * config.width))
     pooled, _ = _shared_forward(feat, keep, params, config)
-    return linear_forward(pooled[0], params.emb_w, params.emb_b)
+    descs = linear_forward(pooled[0], params.emb_w, params.emb_b)
+    if not np.isfinite(descs).all():
+        raise NumericError("infer: descriptors must be finite")
+    return descs
 
 
 def learning_rate(config: ModelConfig, epoch: int) -> float:
@@ -452,18 +455,6 @@ def train(samples: list[Sample], config: ModelConfig
 CHECKPOINT_VERSION = 2
 
 
-_DROP_SCHEMES = {
-    "uniform": UniformRowDrop,
-    "overlap": OverlapRowDrop,
-    "none": NoDrop,
-    "element_dropout": ElementDropout,
-    "spatial_dropout": SpatialDropout,
-    "batch_dropout": BatchDropout,
-    "dropblock": DropBlock,
-    "batch_dropblock": BatchDropBlock,
-}
-
-
 def _fits(value, hint) -> bool:
     """Whether a json value fits a field type; see ``check_fields``."""
     if typing.get_origin(hint) in (typing.Union, types.UnionType):
@@ -505,7 +496,7 @@ def check_fields(cls, doc, where: str) -> None:
 
 
 def scheme_to_dict(scheme: DropStrategyKind) -> dict:
-    for kind, cls in _DROP_SCHEMES.items():
+    for kind, cls in DROP_SCHEMES.items():
         if type(scheme) is cls:
             return {"kind": kind, **asdict(scheme)}
     raise ConfigError(f"unknown drop scheme {scheme!r}")
@@ -515,14 +506,15 @@ def scheme_from_dict(d: dict) -> DropStrategyKind:
     if not isinstance(d, dict) or "kind" not in d:
         raise ConfigError(f"drop_scheme must be an object with a 'kind', got {d!r}")
     kind = d["kind"]
-    if kind not in _DROP_SCHEMES:
+    # a json list or object kind is not a key (nor hashable)
+    if not isinstance(kind, str) or kind not in DROP_SCHEMES:
         raise ConfigError(
             f"unknown drop_scheme kind {kind!r}; expected one of "
-            f"{sorted(_DROP_SCHEMES)}")
+            f"{sorted(DROP_SCHEMES)}")
     kwargs = {k: v for k, v in d.items() if k != "kind"}
-    check_fields(_DROP_SCHEMES[kind], kwargs, f"drop_scheme {kind!r}")
+    check_fields(DROP_SCHEMES[kind], kwargs, f"drop_scheme {kind!r}")
     try:
-        return _DROP_SCHEMES[kind](**kwargs)
+        return DROP_SCHEMES[kind](**kwargs)
     except TypeError as exc:
         raise ConfigError(f"drop_scheme {kind!r}: {exc}") from exc
 
@@ -586,6 +578,9 @@ def load_checkpoint(path) -> tuple[ModelParams, ModelConfig]:
             value = np.asarray(entry["data"], dtype=np.float64)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"checkpoint param {name}: {exc}") from exc
+        # json reads Infinity and NaN
+        if not np.isfinite(value).all():
+            raise ConfigError(f"checkpoint param {name}: non-finite value")
         if entry["shape"] != list(expected.shape) or value.shape != (expected.size,):
             raise ConfigError(
                 f"checkpoint param {name}: shape {entry['shape']} with "

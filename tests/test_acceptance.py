@@ -94,7 +94,7 @@ def test_criterion_4_mask_algebra():
             if h % m:
                 continue
             part = uniform_row_partition(h, m)
-            zero_sets = [set(range(s, e)) for s, e in part.ranges]
+            zero_sets = [set(range(s, e)) for s, e in part]
             assert set().union(*zero_sets) == set(range(h))
             for i, rows in enumerate(zero_sets):
                 assert len(rows) * width == (h // m) * width
@@ -107,7 +107,7 @@ def test_criterion_4_mask_algebra():
             for overlap in range(1, patch_h):
                 part = overlap_row_partition(h, patch_h, overlap)
                 union = set()
-                for s, e in part.ranges:
+                for s, e in part:
                     union |= set(range(s, e))
                 assert union == set(range(h))
                 overlap_checked += 1

@@ -167,6 +167,23 @@ class TestTrainCommand:
     def test_missing_config_exit_1(self, tmp_path):
         assert main(["train", "--config", str(tmp_path / "nope.json")]) == 1
 
+    @pytest.mark.parametrize("kind", [["uniform"], {"a": 1}])
+    def test_unhashable_scheme_kind_exit_1(self, tmp_path, capsys, kind):
+        doc = micro_config(tmp_path)
+        doc["model"]["drop_scheme"] = {"kind": kind, "m": 2}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        assert main(["train", "--config", str(path)]) == 1
+        assert_one_config_error_line(capsys, "unknown drop_scheme kind")
+
+    def test_empty_memory_error_message(self, config_path, capsys,
+                                        monkeypatch):
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError()
+        monkeypatch.setattr("elasticdrop.cli.generate", out_of_memory)
+        assert main(["train", "--config", str(config_path)]) == 1
+        assert capsys.readouterr().err == "config error: out of memory\n"
+
     def test_keep_branches_beyond_schedule_exit_1(self, tmp_path, capsys):
         doc = micro_config(tmp_path)
         doc["model"]["keep_branches"] = 9
@@ -414,7 +431,8 @@ class TestEvalCommand:
         assert_one_config_error_line(capsys, "absent.json")
 
     @pytest.mark.parametrize("damage", ["config", "params", "shape", "data",
-                                        "values", "version"])
+                                        "values", "version", "inf", "nan",
+                                        "kind"])
     def test_damaged_checkpoint_exit_1(self, tmp_path, config_path, capsys,
                                        damage):
         main(["train", "--config", str(config_path)])
@@ -424,6 +442,11 @@ class TestEvalCommand:
             del blob[damage]
         elif damage == "values":
             blob["params"]["emb_w"]["data"] = ["x"]
+        elif damage in ("inf", "nan"):
+            # json writes and reads Infinity and NaN
+            blob["params"]["emb_w"]["data"][0] = float(damage)
+        elif damage == "kind":
+            blob["config"]["drop_scheme"]["kind"] = ["uniform"]
         elif damage == "version":
             # format 1 stored the branch count next to the drop scheme
             blob["format_version"] = 1
@@ -435,8 +458,9 @@ class TestEvalCommand:
         code = main(["eval", "--config", str(config_path), "--checkpoint",
                      str(path)])
         assert code == 1
-        assert_one_config_error_line(
-            capsys, "emb_w" if damage == "values" else damage)
+        fragment = {"values": "emb_w", "inf": "emb_w: non-finite",
+                    "nan": "emb_w: non-finite"}.get(damage, damage)
+        assert_one_config_error_line(capsys, fragment)
 
     def test_non_finite_checkpoint_config_exit_1(self, tmp_path, config_path,
                                                  capsys):
@@ -450,6 +474,24 @@ class TestEvalCommand:
                      str(path)])
         assert code == 1
         assert_one_config_error_line(capsys, "eta must be of type float, got inf")
+
+    def test_overflowing_checkpoint_params_exit_2(self, tmp_path, config_path,
+                                                  capsys):
+        # finite weights whose products overflow at inference
+        main(["train", "--config", str(config_path)])
+        path = tmp_path / "run" / "checkpoint.json"
+        blob = json.loads(path.read_text())
+        for entry in blob["params"].values():
+            entry["data"] = [1e308] * len(entry["data"])
+        path.write_text(json.dumps(blob))
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["eval", "--config", str(config_path), "--checkpoint",
+                         str(path)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("numeric failure:") and "finite" in err
 
     def test_checkpoint_grid_mismatch_exit_1(self, tmp_path, config_path,
                                              capsys):
@@ -510,6 +552,14 @@ class TestMasksCommand:
     def test_invalid_overlap_exit_1(self, capsys):
         assert main(["masks", "--scheme", "overlap", "--patch-h", "4",
                      "--overlap", "0"]) == 1
+
+    # only sizes past numpy's byte limit: legal but huge ones would be built
+    @pytest.mark.parametrize("height, width", [("10000000000000000000", "1"),
+                                               ("24", "10000000000000000000")])
+    def test_oversized_grid_exit_1(self, capsys, height, width):
+        assert main(["masks", "--height", height, "--width", width, "--m",
+                     "1"]) == 1
+        assert_one_config_error_line(capsys, "mask (height, width)")
 
 
 def read_ablation(path):

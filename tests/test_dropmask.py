@@ -3,26 +3,25 @@ import pytest
 
 from elasticdrop.dropmask import (BatchDropBlock, BatchDropout, DropBlock,
                                   ElementDropout, NoDrop, OverlapRowDrop,
-                                  RowPartition, SpatialDropout, UniformRowDrop,
-                                  apply_mask, baseline_mask, branch_masks,
-                                  drop_patch_mask, overlap_row_partition,
-                                  uniform_row_partition)
+                                  SpatialDropout, UniformRowDrop, apply_mask,
+                                  baseline_mask, branch_masks,
+                                  overlap_row_partition, uniform_row_partition)
 from elasticdrop.errors import ConfigError, ShapeError
 
 
 class TestUniformPartition:
     def test_feature_height_24_m6(self):
         part = uniform_row_partition(24, 6)
-        assert part.ranges == ((0, 4), (4, 8), (8, 12), (12, 16), (16, 20), (20, 24))
+        assert part == ((0, 4), (4, 8), (8, 12), (12, 16), (16, 20), (20, 24))
 
     def test_m8(self):
         part = uniform_row_partition(24, 8)
-        assert len(part.ranges) == 8
-        assert all(e - s == 3 for s, e in part.ranges)
+        assert len(part) == 8
+        assert all(e - s == 3 for s, e in part)
 
     def test_unit_patches(self):
         part = uniform_row_partition(6, 6)
-        assert part.ranges == tuple((i, i + 1) for i in range(6))
+        assert part == tuple((i, i + 1) for i in range(6))
 
     def test_non_divisor_rejected(self):
         with pytest.raises(ConfigError):
@@ -38,7 +37,7 @@ class TestUniformPartition:
                 if h % m:
                     continue
                 part = uniform_row_partition(h, m)
-                rows = [set(range(s, e)) for s, e in part.ranges]
+                rows = [set(range(s, e)) for s, e in part]
                 assert set().union(*rows) == set(range(h))
                 for i in range(len(rows)):
                     for j in range(i + 1, len(rows)):
@@ -48,13 +47,13 @@ class TestUniformPartition:
 class TestOverlapPartition:
     def test_stride_rule_h24(self):
         part = overlap_row_partition(24, patch_h=4, overlap=1)
-        assert part.ranges == ((0, 4), (3, 7), (6, 10), (9, 13), (12, 16),
+        assert part == ((0, 4), (3, 7), (6, 10), (9, 13), (12, 16),
                                (15, 19), (18, 22), (20, 24))
-        assert part.branch_count == 8
+        assert len(part) == 8
 
     def test_stride_rule_h6(self):
         part = overlap_row_partition(6, patch_h=3, overlap=1)
-        assert part.ranges == ((0, 3), (2, 5), (3, 6))
+        assert part == ((0, 3), (2, 5), (3, 6))
 
     def test_zero_overlap_rejected(self):
         with pytest.raises(ConfigError):
@@ -69,7 +68,7 @@ class TestOverlapPartition:
             for patch_h in range(2, h + 1):
                 for overlap in range(1, patch_h):
                     part = overlap_row_partition(h, patch_h, overlap)
-                    rows = [set(range(s, e)) for s, e in part.ranges]
+                    rows = [set(range(s, e)) for s, e in part]
                     assert set().union(*rows) == set(range(h))
                     # consecutive ranges share `overlap` rows except at the clamp
                     for i in range(len(rows) - 2):
@@ -78,36 +77,26 @@ class TestOverlapPartition:
 
 class TestDropPatchMask:
     def test_third_patch_zeroed(self):
-        part = uniform_row_partition(24, 6)
-        mask = drop_patch_mask(part, 3, 8)
+        mask = branch_masks(UniformRowDrop(m=6), 24, 8)[2]
         assert mask.shape == (24, 8)
         assert not mask[8:12].any()
         assert int((mask == 0).sum()) == 32
         assert mask[:8].all() and mask[12:].all()
 
     def test_single_range_full_drop(self):
-        part = uniform_row_partition(4, 1)
-        assert not drop_patch_mask(part, 1, 3).any()
+        masks = branch_masks(UniformRowDrop(m=1), 4, 3)
+        assert len(masks) == 1 and not masks[0].any()
 
     def test_popcount(self):
-        part = uniform_row_partition(12, 4)
-        for i in range(1, 5):
-            mask = drop_patch_mask(part, i, 7)
+        masks = branch_masks(UniformRowDrop(m=4), 12, 7)
+        assert len(masks) == 4
+        for mask in masks:
             assert int((mask == 0).sum()) == 3 * 7
 
-    def test_branch_out_of_range(self):
-        part = uniform_row_partition(12, 4)
-        with pytest.raises(ConfigError):
-            drop_patch_mask(part, 0, 7)
-        with pytest.raises(ConfigError):
-            drop_patch_mask(part, 5, 7)
-
     def test_deterministic_across_calls(self):
-        part = uniform_row_partition(24, 6)
-        a = drop_patch_mask(part, 2, 8)
-        b = drop_patch_mask(part, 2, 8)
+        a = branch_masks(UniformRowDrop(m=6), 24, 8)[1]
+        b = branch_masks(UniformRowDrop(m=6), 24, 8)[1]
         assert np.array_equal(a, b)
-
 
 class TestApplyMask:
     def test_all_ones_identity(self):
@@ -121,8 +110,7 @@ class TestApplyMask:
     def test_branch_mask_zeroes_channel_sums(self):
         rng = np.random.default_rng(0)
         fm = rng.normal(size=(12, 5, 6))
-        part = uniform_row_partition(12, 4)
-        mask = drop_patch_mask(part, 2, 5)
+        mask = branch_masks(UniformRowDrop(m=4), 12, 5)[1]
         out = apply_mask(fm, mask)
         assert not out[3:6].any()
         assert np.array_equal(out[:3], fm[:3])
@@ -131,7 +119,7 @@ class TestApplyMask:
     def test_idempotent(self):
         rng = np.random.default_rng(1)
         fm = rng.normal(size=(8, 4, 3))
-        mask = drop_patch_mask(uniform_row_partition(8, 2), 1, 4)
+        mask = branch_masks(UniformRowDrop(m=2), 8, 4)[0]
         once = apply_mask(fm, mask)
         assert np.array_equal(apply_mask(once, mask), once)
 
@@ -143,7 +131,7 @@ class TestApplyMask:
 
     def test_batched_maps(self):
         fm = np.ones((3, 4, 4, 2))
-        mask = drop_patch_mask(uniform_row_partition(4, 2), 2, 4)
+        mask = branch_masks(UniformRowDrop(m=2), 4, 4)[1]
         out = apply_mask(fm, mask)
         assert out.shape == fm.shape
         assert not out[:, 2:].any()
@@ -169,6 +157,12 @@ class TestBranchMasks:
     def test_random_kind_rejected(self):
         with pytest.raises(ConfigError):
             branch_masks(ElementDropout(0.5), 8, 4)
+
+    @pytest.mark.parametrize("kind", [NoDrop(), UniformRowDrop(m=4),
+                                      OverlapRowDrop(patch_h=4, overlap=1)])
+    def test_non_positive_width_rejected(self, kind):
+        with pytest.raises(ConfigError, match="width must be positive"):
+            branch_masks(kind, 8, 0)
 
 
 class TestBaselineMask:
@@ -248,16 +242,3 @@ class TestBaselineMask:
         with pytest.raises(ConfigError):
             baseline_mask(UniformRowDrop(4), 8, 4, 2, self.rng)
 
-
-class TestRowPartitionInvariants:
-    def test_rejects_gap(self):
-        with pytest.raises(ConfigError):
-            RowPartition(height=4, ranges=((0, 1), (2, 4)))
-
-    def test_rejects_out_of_bounds(self):
-        with pytest.raises(ConfigError):
-            RowPartition(height=4, ranges=((0, 5),))
-
-    def test_rejects_unsorted(self):
-        with pytest.raises(ConfigError):
-            RowPartition(height=4, ranges=((2, 4), (0, 2)))
