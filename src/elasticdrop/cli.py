@@ -5,7 +5,8 @@ Every command is driven by a json run config with strict key validation
 config. All emitted files carry a short sha256 hash of the effective config
 so results stay traceable to their settings.
 
-Exit codes: 0 success, 1 configuration error, 2 numeric failure.
+Exit codes: 0 success, 1 configuration error (bad config or input file,
+unwritable output path), 2 numeric failure.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .data_synth import SynthConfig, generate, stack_images
 from .dropmask import (BatchDropBlock, BatchDropout, DropBlock, ElementDropout,
                        NoDrop, OverlapRowDrop, SpatialDropout, UniformRowDrop,
                        branch_masks)
-from .errors import ConfigError, NumericError, check_array_bytes
+from .errors import ConfigError, NumericError, check_array_bytes, read_text
 from .gradcheck import run_gradient_checks
 from .model import (ModelConfig, ModelParams, check_fields, config_from_dict,
                     config_to_dict, infer, load_checkpoint, save_checkpoint,
@@ -130,14 +131,14 @@ def config_hash(cfg: RunConfig) -> str:
 
 
 def load_run_config(path, seed_override=None, out_override=None) -> RunConfig:
+    text = read_text(path, "config file")
     try:
-        doc = json.loads(Path(path).read_text())
-    except FileNotFoundError as exc:
-        raise ConfigError(f"config file not found: {path}") from exc
+        doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"malformed json in {path}: {exc}") from exc
     cfg = run_config_from_dict(doc)
     if seed_override is not None:
+        check_fields(ModelConfig, {"seed": seed_override}, "--seed")
         cfg = replace(cfg, data=replace(cfg.data, seed=seed_override),
                       model=replace(cfg.model, seed=seed_override))
     if out_override is not None:
@@ -159,17 +160,23 @@ def _descriptor_sets(params: ModelParams, model_cfg: ModelConfig, samples
 
 def _evaluate_sets(query: QuerySet, gallery: GallerySet,
                    eval_cfg: EvalConfig) -> EvalMetrics:
+    """Score ``query`` against ``gallery``; raises NumericError when finite
+    descriptors overflow to an infinite distance, which would tie and rank
+    arbitrarily."""
     if len(query) == 0:
         return EvalMetrics({k: 0.0 for k in eval_cfg.ks}, 0.0, 0)
-    dist = None
+    pairs = [(query, gallery)]
+    if eval_cfg.rerank:
+        pairs += [(query, query), (gallery, gallery)]
+    dists = [sq_dist_matrix(a.descriptors, b.descriptors) for a, b in pairs]
+    if not all(np.isfinite(d).all() for d in dists):
+        raise NumericError("descriptor distances overflow to infinity")
+    dist = dists[0]
     if eval_cfg.rerank:
         k1, k2 = clamped_rerank_params(len(query), len(gallery),
                                        eval_cfg.k1, eval_cfg.k2)
-        dist = k_reciprocal_rerank(
-            sq_dist_matrix(query.descriptors, gallery.descriptors),
-            sq_dist_matrix(query.descriptors, query.descriptors),
-            sq_dist_matrix(gallery.descriptors, gallery.descriptors),
-            k1=k1, k2=k2, lambda_value=eval_cfg.lambda_value)
+        dist = k_reciprocal_rerank(*dists, k1=k1, k2=k2,
+                                   lambda_value=eval_cfg.lambda_value)
     return evaluate(query, gallery, ks=eval_cfg.ks, dist=dist)
 
 
@@ -222,10 +229,7 @@ def _load_embedding_csv(path) -> QuerySet:
 
     Every row must carry the same number (at least one) of finite floats.
     """
-    try:
-        text = Path(path).read_text().strip().splitlines()
-    except FileNotFoundError as exc:
-        raise ConfigError(f"embedding csv not found: {path}") from exc
+    text = read_text(path, "embedding csv").strip().splitlines()
     ids, cameras, rows = [], [], []
     for lineno, line in enumerate(text, start=1):
         parts = [p.strip() for p in line.split(",")]
@@ -266,6 +270,8 @@ def write_embedding_csv(path, s: QuerySet) -> None:
 def cmd_eval(args) -> int:
     cfg = load_run_config(args.config, args.seed, args.out)
     chash = config_hash(cfg)
+    if args.out:
+        Path(args.out).mkdir(parents=True, exist_ok=True)
     if args.query_csv and args.gallery_csv:
         query = _load_embedding_csv(args.query_csv)
         gallery = _load_embedding_csv(args.gallery_csv)
@@ -291,10 +297,8 @@ def cmd_eval(args) -> int:
             "eval needs either --checkpoint or both --query-csv and --gallery-csv")
     doc = {"config_hash": chash, **metrics}
     if args.out:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "metrics.json").write_text(json.dumps(doc, sort_keys=True,
-                                                         indent=2) + "\n")
+        (Path(args.out) / "metrics.json").write_text(
+            json.dumps(doc, sort_keys=True, indent=2) + "\n")
     print(json.dumps(doc, sort_keys=True))
     return 0
 
@@ -308,13 +312,13 @@ def cmd_gradcheck(args) -> int:
     seed = args.seed or 0
     if seed < 0:
         raise ConfigError(f"gradcheck: seed must be non-negative, got {seed}")
+    if args.out:
+        Path(args.out).mkdir(parents=True, exist_ok=True)
     report = run_gradient_checks(seed=seed)
     report["config_hash"] = _args_hash(seed=seed, trials=report["trials"])
     print(json.dumps(report, sort_keys=True, indent=2))
     if args.out:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "gradcheck.json").write_text(
+        (Path(args.out) / "gradcheck.json").write_text(
             json.dumps(report, sort_keys=True, indent=2) + "\n")
     return 0 if report["passed"] else 2
 
@@ -367,6 +371,8 @@ def _run_grid(cfg: RunConfig, variants: list[tuple[str, ModelConfig]]) -> int:
 
     The ``rank1_*`` columns hold the smallest configured rank.
     """
+    path = Path(cfg.output_dir) / "ablation.csv"
+    path.parent.mkdir(parents=True, exist_ok=True)
     ks_key = min(cfg.eval.ks)
     rows = []
     for name, model_cfg in variants:
@@ -393,8 +399,6 @@ def _run_grid(cfg: RunConfig, variants: list[tuple[str, ModelConfig]]) -> int:
                    for col in ("rank1_clean", "map_clean", "rank1_occluded",
                                "map_occluded")},
             })
-    path = Path(cfg.output_dir) / "ablation.csv"
-    path.parent.mkdir(parents=True, exist_ok=True)
     _write_csv(path, list(rows[0]), rows, config_hash(cfg))
     print(f"wrote {path}")
     return 0
@@ -405,9 +409,9 @@ def cmd_ablate_dropout(args) -> int:
     cfg = load_run_config(args.config, args.seed, args.out)
     m = cfg.model.scheme_branches
     h = cfg.model.height
-    # the baselines' block sizes come from the consecutive patch count
-    if not isinstance(cfg.model.drop_scheme, (UniformRowDrop, OverlapRowDrop)) \
-            or m < 2:
+    # the baselines' block sizes come from the consecutive patch count; none
+    # and the randomized kinds define one branch
+    if m < 2:
         raise ConfigError(
             f"ablate-dropout requires the uniform or overlap drop scheme with "
             f"at least 2 branches, got {cfg.model.drop_scheme} with {m}")
@@ -522,6 +526,11 @@ def main(argv=None) -> int:
     # than the host has; one raised by a Python-level allocation has no text
     except (ConfigError, MemoryError) as exc:
         print(f"config error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return 1
+    # inputs are read through errors.read_text, so an OSError here comes
+    # from an output path: a file in the way, a directory below a file
+    except OSError as exc:
+        print(f"config error: cannot write output: {exc}", file=sys.stderr)
         return 1
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)

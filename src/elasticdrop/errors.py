@@ -1,7 +1,8 @@
-"""Exception types shared across the package, and the array-size check
-the config classes share."""
+"""Exception types shared across the package, the array-size check the
+config classes share, and the one reader of input files."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 
@@ -34,3 +35,18 @@ def check_array_bytes(where: str, arrays: dict) -> None:
         if math.prod(shape) * 8 > limit:
             raise ConfigError(f"{where}: {name} of shape {shape} would take "
                               f"more than {limit} bytes")
+
+
+def read_text(path, what: str) -> str:
+    """The UTF-8 text of input file ``path``, described as ``what``.
+
+    Any OS error (missing file, a directory, no permission) or bytes that
+    are not UTF-8 raise a ConfigError naming the path.
+    """
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(
+            f"cannot read {what} {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{what} {path} is not UTF-8 text: {exc}") from exc

@@ -25,7 +25,9 @@ folds every branch into one per-cell gradient
 ``sum_b keep_b[cell] * d_pooled_b / (H W)`` and runs one residual backward;
 res_b also collects ``sum_b dropped_b * sum_n d_pooled_b / (H W)`` where
 ``res_b > 0``, the share of the constant cells. Inference is this path
-with one all-ones keep row, the global branch. The randomized baselines
+with one all-ones keep row, the global branch. The fixed keep rows are
+the config's branch plan (``ModelConfig.keep_rows``), built once when the
+config is; every step reads that one copy. The randomized baselines
 draw per-sample, per-channel masks: their branch multiplies the encoder
 cells by the mask, runs the same trunk with one all-ones keep row, and
 multiplies the trunk's encoder grad by the mask again.
@@ -50,7 +52,8 @@ from . import dropmask
 from .data_synth import Sample, pk_batches, stack_images
 from .dropmask import DROP_SCHEMES, DropBlock, DropStrategyKind, UniformRowDrop
 from .elastic_loss import batch_elastic_loss
-from .errors import ConfigError, NumericError, ShapeError, check_array_bytes
+from .errors import (ConfigError, NumericError, ShapeError, check_array_bytes,
+                     read_text)
 from .numerics import (Array, ParamTensor, adam_step, init_linear, linear_backward,
                        linear_forward, relu_backward, relu_forward,
                        softmax_cross_entropy)
@@ -113,13 +116,6 @@ class ModelConfig:
             "weights (feat_channels, feat_channels)": (feat, feat),
             "weights (feat_channels, embed_dim)": (feat, embed),
             "weights (embed_dim, num_classes)": (embed, self.num_classes)})
-        if not isinstance(self.drop_scheme, dropmask.RANDOM_KINDS):
-            # building the schedule raises when it does not fit the grid
-            count = self.scheme_branches
-            if self.keep_branches is not None and self.keep_branches > count:
-                raise ConfigError(
-                    f"ModelConfig: keep_branches={self.keep_branches} exceeds "
-                    f"the schedule's {count} branches")
         if isinstance(self.drop_scheme, DropBlock) and (
                 self.drop_scheme.block_h > self.height
                 or self.drop_scheme.block_w > self.width):
@@ -127,15 +123,30 @@ class ModelConfig:
                 f"ModelConfig: DropBlock block {self.drop_scheme.block_h}x"
                 f"{self.drop_scheme.block_w} exceeds the map "
                 f"{self.height}x{self.width}")
-
-    @property
-    def scheme_branches(self) -> int:
-        """Branches the drop scheme defines: the fixed schedule's length, 1 for
-        a randomized kind; the global branch is not counted."""
-        if isinstance(self.drop_scheme, dropmask.RANDOM_KINDS):
-            return 1
-        return len(dropmask.branch_masks(self.drop_scheme, self.height,
-                                         self.width))
+        # The branch plan, set outside the fields so that no dict, hash or
+        # comparison sees it. scheme_branches: the schedule's length, 1 for a
+        # randomized kind (the global branch not counted). keep_rows: the
+        # read-only (branches, H*W) keep matrix of the fixed masks, the
+        # schedule cut to keep_branches, then the all-ones global branch;
+        # None when no branch has a fixed mask.
+        masks = []
+        if not isinstance(self.drop_scheme, dropmask.RANDOM_KINDS):
+            # building the schedule raises when it does not fit the grid
+            masks = dropmask.branch_masks(self.drop_scheme, self.height,
+                                          self.width)
+            if self.keep_branches is not None and self.keep_branches > len(masks):
+                raise ConfigError(
+                    f"ModelConfig: keep_branches={self.keep_branches} exceeds "
+                    f"the schedule's {len(masks)} branches")
+        object.__setattr__(self, "scheme_branches", len(masks) or 1)
+        masks = masks[:self.keep_branches]
+        if self.use_global_branch:
+            masks.append(np.ones((self.height, self.width)))
+        keep_rows = None
+        if masks:
+            keep_rows = np.stack([m.reshape(-1) for m in masks])
+            keep_rows.setflags(write=False)
+        object.__setattr__(self, "keep_rows", keep_rows)
 
 
 @dataclass
@@ -191,24 +202,6 @@ def init_params(config: ModelConfig, rng: np.random.Generator | None = None
     return ModelParams(enc_w1=enc_w1, enc_b1=enc_b1, enc_w2=enc_w2, enc_b2=enc_b2,
                        emb_w=emb_w, emb_b=emb_b, cls_w=cls_w, cls_b=cls_b,
                        res_w=res_w, res_b=res_b)
-
-
-def _fixed_keep_rows(config: ModelConfig) -> Array | None:
-    """(branches, H*W) 0/1 keep matrix of the branches with fixed masks.
-
-    Rows follow the schedule (cut to ``keep_branches``), with the all-ones
-    global branch last; None when no branch has a fixed mask, i.e. for a
-    randomized scheme without the global branch.
-    """
-    masks = []
-    if not isinstance(config.drop_scheme, dropmask.RANDOM_KINDS):
-        masks = dropmask.branch_masks(config.drop_scheme, config.height,
-                                      config.width)[:config.keep_branches]
-    if config.use_global_branch:
-        masks.append(np.ones((config.height, config.width)))
-    if not masks:
-        return None
-    return np.stack([m.reshape(-1) for m in masks])
 
 
 def _check_images(images: Array, config: ModelConfig) -> Array:
@@ -330,9 +323,8 @@ def forward_train(images, ids, params: ModelParams, config: ModelConfig,
             config.feat_channels, rng, batch_size=n)
         passes.append((mask.reshape(-1, config.feat_channels),
                        np.ones((1, config.height * config.width))))
-    keep = _fixed_keep_rows(config)
-    if keep is not None:
-        passes.append((None, keep))
+    if config.keep_rows is not None:
+        passes.append((None, config.keep_rows))
 
     cells, a1, h1, feat = _encode_cells(images, params, config)
 
@@ -552,10 +544,9 @@ def save_checkpoint(path, params: ModelParams, config: ModelConfig,
 
 
 def load_checkpoint(path) -> tuple[ModelParams, ModelConfig]:
+    text = read_text(path, "checkpoint")
     try:
-        blob = json.loads(Path(path).read_text())
-    except FileNotFoundError as exc:
-        raise ConfigError(f"checkpoint file not found: {path}") from exc
+        blob = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"malformed json in checkpoint {path}: {exc}") from exc
     version = blob.get("format_version") if isinstance(blob, dict) else None

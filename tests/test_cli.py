@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from elasticdrop import dropmask
 from elasticdrop.cli import (config_hash, load_run_config, main,
                              run_config_from_dict, write_embedding_csv)
 from elasticdrop.errors import ConfigError
@@ -166,6 +167,34 @@ class TestTrainCommand:
 
     def test_missing_config_exit_1(self, tmp_path):
         assert main(["train", "--config", str(tmp_path / "nope.json")]) == 1
+
+    def test_config_directory_exit_1(self, tmp_path, capsys):
+        assert main(["train", "--config", str(tmp_path)]) == 1
+        assert_one_config_error_line(capsys, f"cannot read config file {tmp_path}")
+
+    def test_non_utf8_config_exit_1(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_bytes(b'{"output_dir": "\xff"}')
+        assert main(["train", "--config", str(path)]) == 1
+        assert_one_config_error_line(capsys, "is not UTF-8 text")
+
+    def test_seed_flag_beyond_int64_exit_1(self, tmp_path, config_path, capsys):
+        # the same value in the config file is refused as a type error
+        assert main(["train", "--config", str(config_path), "--seed",
+                     str(2 ** 70)]) == 1
+        assert_one_config_error_line(capsys, "seed must be of type int")
+        assert not (tmp_path / "run").exists()
+
+    def test_builds_masks_once(self, config_path, monkeypatch):
+        # one ModelConfig is built, and training reuses its keep rows
+        calls, real = [], dropmask.branch_masks
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+        monkeypatch.setattr(dropmask, "branch_masks", counted)
+        assert main(["train", "--config", str(config_path)]) == 0
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("kind", [["uniform"], {"a": 1}])
     def test_unhashable_scheme_kind_exit_1(self, tmp_path, capsys, kind):
@@ -424,6 +453,54 @@ class TestEvalCommand:
         assert_one_config_error_line(capsys, "have 3 values per row, gallery "
                                              "descriptors 2")
 
+    def test_checkpoint_directory_exit_1(self, tmp_path, config_path, capsys):
+        code = main(["eval", "--config", str(config_path), "--checkpoint",
+                     str(tmp_path)])
+        assert code == 1
+        assert_one_config_error_line(capsys, f"cannot read checkpoint {tmp_path}")
+
+    def test_query_csv_directory_exit_1(self, tmp_path, config_path, capsys):
+        (tmp_path / "g.csv").write_text("0,1,0.5\n")
+        code = main(["eval", "--config", str(config_path), "--query-csv",
+                     str(tmp_path), "--gallery-csv", str(tmp_path / "g.csv")])
+        assert code == 1
+        assert_one_config_error_line(capsys,
+                                     f"cannot read embedding csv {tmp_path}")
+
+    @pytest.mark.parametrize("source", ["checkpoint", "csv"])
+    def test_non_utf8_input_exit_1(self, tmp_path, config_path, capsys,
+                                   source):
+        bad = tmp_path / "bad"
+        bad.write_bytes(b"0,1,0.5\xff\n")
+        if source == "checkpoint":
+            argv = ["--checkpoint", str(bad)]
+        else:
+            (tmp_path / "g.csv").write_text("0,1,0.5\n")
+            argv = ["--query-csv", str(bad), "--gallery-csv",
+                    str(tmp_path / "g.csv")]
+        assert main(["eval", "--config", str(config_path), *argv]) == 1
+        assert_one_config_error_line(capsys, f"{bad} is not UTF-8 text")
+
+    @pytest.mark.parametrize("rerank", [False, True])
+    def test_overflowing_distances_exit_2(self, tmp_path, capsys, rerank):
+        # both squared distances overflow to inf, and the tie would rank the
+        # farther gallery entry first
+        doc = micro_config(tmp_path / "run")
+        doc["eval"].update(rerank=rerank, k1=2, k2=1)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        (tmp_path / "q.csv").write_text("1,0,0.0\n")
+        (tmp_path / "g.csv").write_text("2,1,2e200\n1,1,1e200\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["eval", "--config", str(path),
+                         "--query-csv", str(tmp_path / "q.csv"),
+                         "--gallery-csv", str(tmp_path / "g.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("numeric failure:") and "distances" in err
+
     def test_missing_checkpoint_exit_1(self, tmp_path, config_path, capsys):
         code = main(["eval", "--config", str(config_path), "--checkpoint",
                      str(tmp_path / "absent.json")])
@@ -562,6 +639,47 @@ class TestMasksCommand:
         assert_one_config_error_line(capsys, "mask (height, width)")
 
 
+class TestOutputPaths:
+    """An output path with a file in the way exits 1 before any work."""
+
+    def _argv(self, command, tmp_path, config_path):
+        if command == "eval":
+            (tmp_path / "q.csv").write_text("0,0,0.1\n")
+            (tmp_path / "g.csv").write_text("0,1,0.2\n")
+            return ["eval", "--config", str(config_path), "--query-csv",
+                    str(tmp_path / "q.csv"), "--gallery-csv",
+                    str(tmp_path / "g.csv")]
+        if command == "masks":
+            return ["masks"]
+        if command == "gradcheck":
+            return ["gradcheck"]
+        return [command, "--config", str(config_path)]
+
+    @pytest.mark.parametrize("below", [False, True], ids=["file", "below_file"])
+    @pytest.mark.parametrize("command", ["train", "eval", "gradcheck", "masks",
+                                         "ablate-branches"])
+    def test_blocked_out_exit_1(self, tmp_path, config_path, capsys, command,
+                                below):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        out = blocker / "sub" if below else blocker
+        argv = self._argv(command, tmp_path, config_path)
+        capsys.readouterr()
+        assert main([*argv, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("config error: cannot write output:")
+        assert str(blocker) in err
+
+    def test_blocked_output_dir_exit_1(self, tmp_path, capsys):
+        # the grid would train 5 seeds per variant; it fails before that
+        (tmp_path / "blocker").write_text("")
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(micro_config(tmp_path / "blocker")))
+        assert main(["ablate-components", "--config", str(path)]) == 1
+        assert_one_config_error_line(capsys, "cannot write output")
+
+
 def read_ablation(path):
     lines = Path(path).read_text().splitlines()
     assert lines[0].startswith("# config_hash=")
@@ -601,7 +719,10 @@ class TestAblationCommands:
 
     @pytest.mark.parametrize("scheme", [
         {"kind": "none"}, {"kind": "dropblock", "block_h": 2, "block_w": 1},
-        {"kind": "uniform", "m": 1}], ids=lambda s: s["kind"])
+        {"kind": "uniform", "m": 1},
+        # height 4 holds one 4-row patch
+        {"kind": "overlap", "patch_h": 4, "overlap": 1}],
+        ids=lambda s: s["kind"])
     def test_dropout_grid_needs_consecutive_branches(self, tmp_path, capsys,
                                                      scheme):
         doc = micro_config(tmp_path / "run")

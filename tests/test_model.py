@@ -1,6 +1,7 @@
 import copy
 import itertools
 import json
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -436,3 +437,42 @@ class TestConfigSerialization:
     def test_schedule_checked_on_construction(self, over):
         with pytest.raises(ConfigError):
             tiny_config(**over)
+
+
+class TestBranchPlan:
+    """The keep rows and branch count each ModelConfig builds once."""
+
+    def test_keep_rows_read_only(self):
+        keep = tiny_config().keep_rows
+        with pytest.raises(ValueError, match="read-only"):
+            keep[0, 0] = 1.0
+
+    @pytest.mark.parametrize("over, rows", [
+        ({}, [[0, 0, 0, 0, 1, 1, 1, 1], [1, 1, 1, 1, 0, 0, 0, 0]]),
+        (dict(use_global_branch=True, keep_branches=1),
+         [[0, 0, 0, 0, 1, 1, 1, 1], [1] * 8]),
+        (dict(drop_scheme=NoDrop()), [[1] * 8]),
+        (dict(drop_scheme=ElementDropout(rate=0.25), use_global_branch=True),
+         [[1] * 8]),
+    ], ids=["schedule", "cut_plus_global", "none", "randomized_global"])
+    def test_keep_rows(self, over, rows):
+        keep = tiny_config(**over).keep_rows
+        assert keep.dtype == np.float64
+        assert np.array_equal(keep, np.array(rows, dtype=np.float64))
+
+    def test_randomized_scheme_has_no_fixed_rows(self):
+        config = tiny_config(drop_scheme=SpatialDropout(rate=0.25))
+        assert config.keep_rows is None and config.scheme_branches == 1
+
+    def test_plan_is_not_a_field(self):
+        config = tiny_config(use_global_branch=True)
+        assert config.keep_rows.shape == (3, 8)
+        names = {f.name for f in fields(ModelConfig)}
+        assert not {"keep_rows", "scheme_branches"} & names
+        assert not {"keep_rows", "scheme_branches"} & set(config_to_dict(config))
+        assert config == tiny_config(use_global_branch=True)
+
+    def test_replace_rebuilds_plan(self):
+        config = replace(tiny_config(), keep_branches=1)
+        assert config.keep_rows.shape == (1, 8)
+        assert config.scheme_branches == 2
