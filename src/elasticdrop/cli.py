@@ -268,11 +268,18 @@ def write_embedding_csv(path, s: QuerySet) -> None:
 
 
 def cmd_eval(args) -> int:
+    # exactly one input mode; argparse's own exit 2 would read as a
+    # numeric failure
+    given = [a is not None for a in (args.checkpoint, args.query_csv,
+                                     args.gallery_csv)]
+    if given not in ([True, False, False], [False, True, True]):
+        raise ConfigError("eval needs either --checkpoint alone or both "
+                          "--query-csv and --gallery-csv")
     cfg = load_run_config(args.config, args.seed, args.out)
     chash = config_hash(cfg)
     if args.out:
         Path(args.out).mkdir(parents=True, exist_ok=True)
-    if args.query_csv and args.gallery_csv:
+    if args.checkpoint is None:
         query = _load_embedding_csv(args.query_csv)
         gallery = _load_embedding_csv(args.gallery_csv)
         widths = (query.descriptors.shape[1], gallery.descriptors.shape[1])
@@ -280,8 +287,7 @@ def cmd_eval(args) -> int:
             raise ConfigError(
                 f"query descriptors have {widths[0]} values per row, gallery "
                 f"descriptors {widths[1]}")
-        metrics = {"all": _evaluate_sets(query, gallery, cfg.eval).to_dict()}
-    elif args.checkpoint:
+    else:
         params, model_cfg = load_checkpoint(args.checkpoint)
         grid = (model_cfg.height, model_cfg.width, model_cfg.in_channels)
         data_grid = (cfg.data.height, cfg.data.width, cfg.data.channels)
@@ -291,11 +297,8 @@ def cmd_eval(args) -> int:
         dataset = generate(cfg.data)
         gallery = _descriptor_sets(params, model_cfg, dataset.gallery)
         query = _descriptor_sets(params, model_cfg, dataset.query)
-        metrics = {"all": _evaluate_sets(query, gallery, cfg.eval).to_dict()}
-    else:
-        raise ConfigError(
-            "eval needs either --checkpoint or both --query-csv and --gallery-csv")
-    doc = {"config_hash": chash, **metrics}
+    doc = {"config_hash": chash,
+           "all": _evaluate_sets(query, gallery, cfg.eval).to_dict()}
     if args.out:
         (Path(args.out) / "metrics.json").write_text(
             json.dumps(doc, sort_keys=True, indent=2) + "\n")

@@ -91,17 +91,23 @@ def occlude(image: Array, fraction: float) -> Array:
     return out
 
 
-def _render(signatures: Array, shift: Array, noise: Array, height: int,
-            part_count: int) -> Array:
-    band = height // part_count
-    image = np.empty_like(noise)
+def _render(signatures: Array, shift: Array, noise: Array, part_count: int,
+            out: Array) -> None:
+    """Paint the bands into ``out``, then add the shift and the noise."""
+    band = out.shape[0] // part_count
     for j in range(part_count):
-        image[j * band:(j + 1) * band, :, :] = signatures[j]
-    return image + shift + noise
+        out[j * band:(j + 1) * band, :, :] = signatures[j]
+    out += shift
+    out += noise
 
 
 def generate(config: SynthConfig) -> SynthDataset:
-    """Materialize the train/query/gallery splits for one config."""
+    """Materialize the train/query/gallery splits for one config.
+
+    Every image is a view into one (num_ids * samples_per_id, H, W, C) array,
+    allocated before the first sample is drawn, so a dataset the host cannot
+    hold raises MemoryError up front instead of growing sample by sample.
+    """
     rng = np.random.default_rng(config.seed)
     c = config
     signatures = rng.normal(0.0, 1.0, size=(c.num_ids, c.part_count, c.channels))
@@ -113,6 +119,8 @@ def generate(config: SynthConfig) -> SynthDataset:
     n_train = max(1, min(n_train, c.samples_per_id - 2))
     n_query = max(1, min(n_query, c.samples_per_id - n_train - 1))
 
+    images = np.empty((c.num_ids * c.samples_per_id, c.height, c.width,
+                       c.channels))
     train: list[Sample] = []
     query: list[Sample] = []
     gallery: list[Sample] = []
@@ -121,13 +129,14 @@ def generate(config: SynthConfig) -> SynthDataset:
             camera = s % c.num_cameras
             noise = rng.normal(0.0, c.noise_sigma,
                                size=(c.height, c.width, c.channels))
-            image = _render(signatures[pid], camera_shift[camera], noise,
-                            c.height, c.part_count)
+            image = images[pid * c.samples_per_id + s]
+            _render(signatures[pid], camera_shift[camera], noise,
+                    c.part_count, image)
             occluded = False
             if n_train <= s < n_train + n_query:
                 occluded = bool(rng.random() < c.occluded_query_prob)
                 if occluded:
-                    image = occlude(image, c.occlusion_fraction)
+                    image[...] = occlude(image, c.occlusion_fraction)
             sample = Sample(image=image, id=pid, camera=camera, occluded=occluded)
             if s < n_train:
                 train.append(sample)

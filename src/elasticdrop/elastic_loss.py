@@ -147,12 +147,13 @@ def elastic_weight(max_pos, min_neg):
     return delta, w
 
 
-def batch_elastic_loss(vectors, ids, eta: float = 3.0, weighting="sigmoid"
-                       ) -> tuple[float, Array]:
+def batch_elastic_loss(vectors, ids, eta: float = 3.0, weighting="sigmoid",
+                       stats: dict | None = None) -> tuple[float, Array]:
     """Weighted batch-hard hinge over B stacked (N, D) descriptor branches.
 
     The module docstring lists the weightings. Returns the loss and its
-    (B, N, D) gradient w.r.t. ``vectors``.
+    (B, N, D) gradient w.r.t. ``vectors``. A ``stats`` dict receives the
+    (B, N) weights the loss used under ``"weights"``.
     """
     vectors = np.asarray(vectors, dtype=np.float64)
     ids = np.asarray(ids)
@@ -186,6 +187,8 @@ def batch_elastic_loss(vectors, ids, eta: float = 3.0, weighting="sigmoid"
         if not np.all(np.isfinite(w)):
             raise ValueError("batch_elastic_loss: a constant weighting must be "
                              "finite")
+    if stats is not None:
+        stats["weights"] = w
     raw = eta + mp - mn
     active = hard.valid & (raw > 0.0)
     hinge = np.where(active, raw, 0.0)

@@ -11,8 +11,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .elastic_loss import (batch_elastic_loss, batch_hard_mine,
-                           elastic_weight, sq_dist_matrix)
+from .elastic_loss import batch_elastic_loss
 from .model import ModelConfig, forward_train, init_params, metric_weighting
 from .dropmask import DropBlock, OverlapRowDrop, UniformRowDrop
 from .numerics import (finite_diff_grad, linear_backward, linear_forward,
@@ -65,26 +64,18 @@ def check_softmax_ce(seed=0, trials=10) -> float:
     return worst
 
 
-def _mined_weights(vectors, ids) -> np.ndarray:
-    """(B, N) elastic weights of stacked branches at their mined pairs."""
-    hard = batch_hard_mine(np.stack([sq_dist_matrix(v, v) for v in vectors]),
-                           ids)
-    return elastic_weight(hard.max_pos_dist, hard.min_neg_dist)[1]
-
-
 def check_metric_loss(weighting, b: int, n: int, d: int, seed=0, trials=10
                       ) -> float:
     """Worst per-branch error of the metric loss gradient; a detached check
-    differences the loss with the weight frozen at its mined value."""
+    differences the loss with the weights frozen at the ones it used."""
     worst = 0.0
     rng = np.random.default_rng(seed)
     ids = np.repeat(np.arange(n // 4), 4)[:n]
     for _ in range(trials):
         vectors = rng.normal(size=(b, n, d))
-        _, grads = batch_elastic_loss(vectors, ids, 3.0, weighting)
-        frozen = weighting
-        if weighting == "detached":
-            frozen = _mined_weights(vectors, ids)
+        stats = {}
+        _, grads = batch_elastic_loss(vectors, ids, 3.0, weighting, stats)
+        frozen = stats["weights"] if weighting == "detached" else weighting
         fd = finite_diff_grad(
             lambda v: batch_elastic_loss(v, ids, 3.0, frozen)[0], vectors)
         worst = max(worst, *map(max_rel_error, grads, fd))
@@ -137,12 +128,10 @@ def check_model_end_to_end(seed=0, trials=10, config: ModelConfig | None = None
                                  rng=np.random.default_rng([seed, trial]))
 
         params.zero_grads()
-        _, out = step()
+        weights = step().metric_weights
         analytic_grads = {name: p.grad.copy()
                           for name, p in params.named().items()}
-        weights = None
-        if metric_weighting(config) == "detached":
-            weights = _mined_weights(out.branch_descriptors, ids)
+        detached = metric_weighting(config) == "detached"
         for name, p in params.named().items():
             analytic = analytic_grads[name]
 
@@ -150,11 +139,11 @@ def check_model_end_to_end(seed=0, trials=10, config: ModelConfig | None = None
                 old = p.value
                 p.value = v
                 try:
-                    loss, out = step()
+                    out = step()
                 finally:
                     p.value = old
-                if weights is None:
-                    return loss
+                if not detached:
+                    return out.total_loss
                 # a detached-weight step differentiates the loss with
                 # every weight frozen at its value in the step
                 metric, _ = batch_elastic_loss(np.stack(out.branch_descriptors),

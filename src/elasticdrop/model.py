@@ -181,9 +181,11 @@ class ModelParams:
 
 @dataclass
 class ForwardOutput:
+    # with the global branch on, its descriptor is the last one
     branch_descriptors: list[Array]
     branch_logits: list[Array]
-    global_descriptor: Array | None
+    # the (B, N) weights the metric loss used
+    metric_weights: Array
     elastic_loss: float
     ce_loss: float
     total_loss: float
@@ -297,8 +299,7 @@ def metric_weighting(config: ModelConfig):
 
 
 def forward_train(images, ids, params: ModelParams, config: ModelConfig,
-                  rng: np.random.Generator | None = None
-                  ) -> tuple[float, ForwardOutput]:
+                  rng: np.random.Generator | None = None) -> ForwardOutput:
     """One fused forward/backward pass; grads accumulate into params.
 
     Branch masks come from the configured scheme (randomized schemes draw a
@@ -337,8 +338,9 @@ def forward_train(images, ids, params: ModelParams, config: ModelConfig,
     descs = [linear_forward(p, params.emb_w, params.emb_b) for p in pooled]
     logits = [linear_forward(d, params.cls_w, params.cls_b) for d in descs]
 
+    stats = {}
     metric_loss, metric_grads = batch_elastic_loss(
-        np.stack(descs), ids, config.eta, metric_weighting(config))
+        np.stack(descs), ids, config.eta, metric_weighting(config), stats)
 
     ce_total = 0.0
     d_logits = []
@@ -346,7 +348,6 @@ def forward_train(images, ids, params: ModelParams, config: ModelConfig,
         ce, g = softmax_cross_entropy(lg, ids)
         ce_total += ce
         d_logits.append(g)
-    total = metric_loss + ce_total
 
     d_pooled = np.stack([_head_backward(metric_grads[i], d_logits[i], pooled[i],
                                         descs[i], params)
@@ -367,16 +368,14 @@ def forward_train(images, ids, params: ModelParams, config: ModelConfig,
     params.enc_w1.grad += gw
     params.enc_b1.grad += gb
 
-    global_desc = descs[-1] if config.use_global_branch else None
-    out = ForwardOutput(
+    return ForwardOutput(
         branch_descriptors=descs,
         branch_logits=logits,
-        global_descriptor=global_desc,
+        metric_weights=stats["weights"],
         elastic_loss=metric_loss,
         ce_loss=ce_total,
-        total_loss=total,
+        total_loss=metric_loss + ce_total,
     )
-    return total, out
 
 
 def infer(images, params: ModelParams, config: ModelConfig) -> Array:
@@ -429,8 +428,8 @@ def train(samples: list[Sample], config: ModelConfig
             raise ConfigError("train: PK sampler produced no batches")
         sums = np.zeros(3)
         for idx in batches:
-            _, out = forward_train(images[idx], ids[idx], params, config,
-                                   rng=mask_rng)
+            out = forward_train(images[idx], ids[idx], params, config,
+                                rng=mask_rng)
             for p in params.named().values():
                 adam_step(p, lr)
             sums += (out.elastic_loss, out.ce_loss, out.total_loss)

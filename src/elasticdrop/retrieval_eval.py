@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .elastic_loss import sq_dist_matrix
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, NumericError, ShapeError
 
 Array = np.ndarray
 
@@ -68,7 +68,9 @@ def evaluate(query: QuerySet, gallery: GallerySet, ks=(1, 5, 10),
     """Rank the gallery per query by ascending squared distance and score it.
 
     ``dist`` may supply a precomputed (and possibly re-ranked) query-gallery
-    distance matrix; otherwise squared euclidean distances are used.
+    distance matrix; otherwise squared euclidean distances are used. Raises
+    NumericError when a distance is not finite, since infinite distances
+    would tie and rank arbitrarily.
     """
     ks = sorted(int(k) for k in ks)
     if not ks or ks[0] < 1:
@@ -86,6 +88,8 @@ def evaluate(query: QuerySet, gallery: GallerySet, ks=(1, 5, 10),
         if dist.shape != (len(query), len(gallery)):
             raise ShapeError(
                 f"evaluate: dist {dist.shape} vs ({len(query)}, {len(gallery)})")
+    if not np.isfinite(dist).all():
+        raise NumericError("evaluate: distances must be finite")
 
     counted = 0
     ap_sum = 0.0

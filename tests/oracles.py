@@ -14,7 +14,8 @@ import math
 import numpy as np
 
 from elasticdrop import dropmask
-from elasticdrop.elastic_loss import batch_elastic_loss
+from elasticdrop.elastic_loss import (batch_elastic_loss, batch_hard_mine,
+                                      elastic_weight, sq_dist_matrix)
 from elasticdrop.model import metric_weighting
 from elasticdrop.numerics import (linear_backward, linear_forward,
                                   relu_backward, relu_forward,
@@ -115,6 +116,14 @@ def naive_metric_loss(branch_vectors, ids, eta, weighting):
                 grad[q][d] -= d_mn * neg
         grads.append(grad)
     return total / units, [g / units for g in grads]
+
+
+def mined_weights(vectors, ids) -> np.ndarray:
+    """(B, N) elastic weights of stacked branches at their mined pairs,
+    mined a second time, apart from the loss."""
+    hard = batch_hard_mine(np.stack([sq_dist_matrix(v, v) for v in vectors]),
+                           ids)
+    return elastic_weight(hard.max_pos_dist, hard.min_neg_dist)[1]
 
 
 def naive_evaluate(q_desc, q_ids, q_cams, g_desc, g_ids, g_cams, ks,

@@ -213,6 +213,28 @@ class TestTrainCommand:
         assert main(["train", "--config", str(config_path)]) == 1
         assert capsys.readouterr().err == "config error: out of memory\n"
 
+    def test_unallocatable_dataset_exit_1(self, tmp_path, capsys,
+                                          monkeypatch):
+        # inside numpy's byte limit (1.2 TB of images) but beyond a host's
+        # memory; the stand-in allocator refuses it without allocating
+        real_empty = np.empty
+
+        def empty(shape, *args, **kwargs):
+            if np.prod(shape, dtype=object) * 8 > 2 ** 34:
+                raise MemoryError()
+            return real_empty(shape, *args, **kwargs)
+
+        def drawn(*args, **kwargs):
+            raise AssertionError("a sample was drawn before the allocation")
+
+        monkeypatch.setattr(np, "empty", empty)
+        monkeypatch.setattr("elasticdrop.data_synth._render", drawn)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(micro_config(tmp_path,
+                                                samples_per_id=2 ** 30)))
+        assert main(["train", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == "config error: out of memory\n"
+
     def test_keep_branches_beyond_schedule_exit_1(self, tmp_path, capsys):
         doc = micro_config(tmp_path)
         doc["model"]["keep_branches"] = 9
@@ -404,6 +426,26 @@ class TestEvalCommand:
 
     def test_eval_needs_source(self, config_path):
         assert main(["eval", "--config", str(config_path)]) == 1
+
+    @pytest.mark.parametrize("flags", [
+        ("--checkpoint", "--query-csv", "--gallery-csv"),
+        ("--checkpoint", "--query-csv"),
+        ("--checkpoint", "--gallery-csv"),
+        ("--query-csv",),
+        ("--gallery-csv",),
+    ], ids=["checkpoint_and_csvs", "checkpoint_and_query",
+            "checkpoint_and_gallery", "query_alone", "gallery_alone"])
+    def test_mixed_or_partial_inputs_exit_1(self, tmp_path, config_path,
+                                            capsys, flags):
+        # readable CSVs and a missing checkpoint: only the mode is wrong
+        paths = {"--checkpoint": tmp_path / "missing.json",
+                 "--query-csv": tmp_path / "q.csv",
+                 "--gallery-csv": tmp_path / "g.csv"}
+        paths["--query-csv"].write_text("0,0,0.1,0.2\n")
+        paths["--gallery-csv"].write_text("0,1,0.5,0.5\n")
+        argv = [arg for flag in flags for arg in (flag, str(paths[flag]))]
+        assert main(["eval", "--config", str(config_path), *argv]) == 1
+        assert_one_config_error_line(capsys, "--checkpoint alone")
 
     def _eval_csv(self, tmp_path, config_path, query_text):
         (tmp_path / "q.csv").write_text(query_text)

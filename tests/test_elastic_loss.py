@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from oracles import (naive_cross_sq_dist, naive_hard_mine, naive_metric_loss,
-                     naive_pairwise_sq_dist)
+from oracles import (mined_weights, naive_cross_sq_dist, naive_hard_mine,
+                     naive_metric_loss, naive_pairwise_sq_dist)
 
 from elasticdrop import elastic_loss
 from elasticdrop.elastic_loss import (batch_elastic_loss, batch_hard_mine,
@@ -409,6 +409,26 @@ class TestBatchElasticLoss:
         vectors, ids = random_batch(np.random.default_rng(79))
         with pytest.raises(ValueError, match="eta must be positive"):
             single(batch_elastic_loss, vectors, ids, eta)
+
+    @pytest.mark.parametrize("kind", ["sigmoid", "detached", "scalar",
+                                      "per_anchor", "per_unit"])
+    def test_stats_hold_the_weights_used(self, kind):
+        rng = np.random.default_rng(83)
+        ids = np.repeat(np.arange(3), 4)
+        vectors = rng.normal(size=(2, 12, 5))
+        weighting = {"sigmoid": "sigmoid", "detached": "detached",
+                     "scalar": 0.7, "per_anchor": rng.uniform(size=12),
+                     "per_unit": rng.uniform(size=(2, 12))}[kind]
+        stats = {}
+        loss, _ = batch_elastic_loss(vectors, ids, 3.0, weighting, stats)
+        if isinstance(weighting, str):
+            expected = mined_weights(vectors, ids)
+        else:
+            expected = np.broadcast_to(weighting, (2, 12))
+        assert stats["weights"].shape == (2, 12)
+        assert np.array_equal(stats["weights"], expected)
+        # the weights are an output only: the loss is the one without stats
+        assert loss == batch_elastic_loss(vectors, ids, 3.0, weighting)[0]
 
 
 class TestMetricLossCore:

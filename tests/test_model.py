@@ -6,7 +6,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from oracles import naive_forward_train
+from oracles import mined_weights, naive_forward_train
 
 from elasticdrop.data_synth import SynthConfig, generate
 from elasticdrop.dropmask import (BatchDropBlock, BatchDropout, DropBlock,
@@ -79,7 +79,7 @@ class TestForwardTrain:
         config = tiny_config(drop_scheme=NoDrop())
         params = init_params(config)
         images, ids = tiny_inputs(config)
-        total, out = forward_train(images, ids, params, config)
+        out = forward_train(images, ids, params, config)
         assert len(out.branch_descriptors) == 1
         # the one unmasked branch equals the inference path exactly
         assert np.array_equal(out.branch_descriptors[0],
@@ -88,7 +88,7 @@ class TestForwardTrain:
         elastic, _ = batch_elastic_loss(np.stack(out.branch_descriptors), ids,
                                         config.eta)
         ce, _ = softmax_cross_entropy(out.branch_logits[0], ids)
-        assert total == pytest.approx(elastic + ce, abs=1e-12)
+        assert out.total_loss == pytest.approx(elastic + ce, abs=1e-12)
 
     def test_paper_scale_shape_trace(self):
         # 24 x 8 map with six branches produces six descriptors of width 512
@@ -98,7 +98,7 @@ class TestForwardTrain:
                              num_classes=2, drop_scheme=UniformRowDrop(m=6))
         params = init_params(config)
         images, ids = tiny_inputs(config)
-        _, out = forward_train(images, ids, params, config)
+        out = forward_train(images, ids, params, config)
         assert len(out.branch_descriptors) == 6
         for desc in out.branch_descriptors:
             assert desc.shape == (4, 512)
@@ -107,28 +107,26 @@ class TestForwardTrain:
         config = tiny_config()
         params = init_params(config)
         images, ids = tiny_inputs(config)
-        total, out = forward_train(images, ids, params, config)
-        assert total == out.elastic_loss + out.ce_loss
-        assert out.total_loss == total
+        out = forward_train(images, ids, params, config)
+        assert out.total_loss == out.elastic_loss + out.ce_loss
 
     def test_branch_count_with_global(self):
         config = tiny_config(use_global_branch=True)
         params = init_params(config)
         images, ids = tiny_inputs(config)
-        _, out = forward_train(images, ids, params, config)
+        out = forward_train(images, ids, params, config)
         assert len(out.branch_descriptors) == 3
-        assert out.global_descriptor is not None
-        assert np.array_equal(out.global_descriptor,
+        assert np.array_equal(out.branch_descriptors[-1],
                               infer(images, params, config))
 
     def test_sample_permutation_equivariance(self):
         config = tiny_config()
         params = init_params(config)
         images, ids = tiny_inputs(config)
-        _, out = forward_train(images, ids, params, config)
+        out = forward_train(images, ids, params, config)
         perm = np.array([2, 0, 3, 1])
         params.zero_grads()
-        _, out_p = forward_train(images[perm], ids[perm], params, config)
+        out_p = forward_train(images[perm], ids[perm], params, config)
         for d, dp in zip(out.branch_descriptors, out_p.branch_descriptors):
             assert np.array_equal(d[perm], dp)
 
@@ -136,10 +134,10 @@ class TestForwardTrain:
         config = tiny_config()
         params = init_params(config)
         images, ids = tiny_inputs(config)
-        _, before = forward_train(images, ids, params, config)
+        before = forward_train(images, ids, params, config)
         params.res_w.value = params.res_w.value + 0.05
         params.zero_grads()
-        _, after = forward_train(images, ids, params, config)
+        after = forward_train(images, ids, params, config)
         for d0, d1 in zip(before.branch_descriptors, after.branch_descriptors):
             assert not np.array_equal(d0, d1)
 
@@ -148,11 +146,11 @@ class TestForwardTrain:
         config = tiny_config()
         params = init_params(config)
         images, ids = tiny_inputs(config)
-        _, out = forward_train(images, ids, params, config)
+        out = forward_train(images, ids, params, config)
         zeroed = images.copy()
         zeroed[:, 2:, :, :] = 0.0  # rows dropped by branch 2 of m=2
         params.zero_grads()
-        _, out_z = forward_train(zeroed, ids, params, config)
+        out_z = forward_train(zeroed, ids, params, config)
         assert np.allclose(out.branch_descriptors[1],
                            out_z.branch_descriptors[1], atol=1e-12)
         assert not np.allclose(out.branch_descriptors[0],
@@ -180,15 +178,35 @@ class TestForwardTrain:
         images, ids = tiny_inputs(config)
         with pytest.raises(ConfigError):
             forward_train(images, ids, params, config)
-        total, _ = forward_train(images, ids, params, config,
-                                 rng=np.random.default_rng(0))
-        assert np.isfinite(total)
+        out = forward_train(images, ids, params, config,
+                            rng=np.random.default_rng(0))
+        assert np.isfinite(out.total_loss)
+
+    @pytest.mark.parametrize("over", [
+        {}, dict(detach_weight=True), dict(loss="triplet"),
+        dict(use_global_branch=True),
+        dict(use_global_branch=True, drop_scheme=DropBlock(block_h=2,
+                                                            block_w=1))],
+        ids=["elastic", "detached", "triplet", "global_branch", "dropblock"])
+    def test_metric_weights_are_the_mined_ones(self, over):
+        config = tiny_config(**over)
+        params = init_params(config)
+        images, ids = tiny_inputs(config)
+        out = forward_train(images, ids, params, config,
+                            rng=np.random.default_rng(0))
+        branches = len(out.branch_descriptors)
+        assert out.metric_weights.shape == (branches, len(ids))
+        if config.loss == "triplet":
+            expected = np.ones((branches, len(ids)))
+        else:
+            expected = mined_weights(out.branch_descriptors, ids)
+        assert np.array_equal(out.metric_weights, expected)
 
     def test_keep_branches_truncates(self):
         config = tiny_config(keep_branches=1)
         params = init_params(config)
         images, ids = tiny_inputs(config)
-        _, out = forward_train(images, ids, params, config)
+        out = forward_train(images, ids, params, config)
         assert len(out.branch_descriptors) == 1
 
 
@@ -219,14 +237,14 @@ def run_against_oracle(config, seed):
     ids = np.arange(8) % 4
     params = init_params(config, rng)
     ref = copy.deepcopy(params)
-    total, out = forward_train(images, ids, params, config,
-                               rng=np.random.default_rng([seed, 1]))
+    out = forward_train(images, ids, params, config,
+                        rng=np.random.default_rng([seed, 1]))
     ref_total, ref_descs = naive_forward_train(
         images, ids, ref, config, rng=np.random.default_rng([seed, 1]))
     assert len(out.branch_descriptors) == len(ref_descs)
     grads = {name: (p.grad, ref.named()[name].grad)
              for name, p in params.named().items()}
-    return (total, ref_total), list(zip(out.branch_descriptors, ref_descs)), grads
+    return (out.total_loss, ref_total), list(zip(out.branch_descriptors, ref_descs)), grads
 
 
 class TestSharedTrunkOracle:

@@ -8,7 +8,7 @@ from oracles import (dense_rerank, naive_evaluate, random_retrieval_instance,
                      rerank_reference)
 
 from elasticdrop.elastic_loss import sq_dist_matrix
-from elasticdrop.errors import ConfigError, ShapeError
+from elasticdrop.errors import ConfigError, NumericError, ShapeError
 from elasticdrop.retrieval_eval import (EvalMetrics, GallerySet, QuerySet,
                                         clamped_rerank_params, evaluate,
                                         k_reciprocal_rerank)
@@ -122,6 +122,21 @@ class TestEvaluate:
         gallery = make_set([[0.0]], [1], [1])
         with pytest.raises(ShapeError):
             evaluate(query, gallery, ks=[1])
+
+    def test_overflowing_distances_rejected(self):
+        # both squared distances overflow to inf and would tie
+        query = make_set([[0.0]], [1], [0])
+        gallery = make_set([[2e200], [1e200]], [2, 1], [1, 1])
+        with np.errstate(over="ignore"), pytest.raises(NumericError,
+                                                       match="finite"):
+            evaluate(query, gallery, ks=(1,))
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_given_distances_rejected(self, bad):
+        query = make_set([[0.0]], [1], [0])
+        gallery = make_set([[0.0], [0.0]], [2, 1], [1, 1])
+        with pytest.raises(NumericError, match="finite"):
+            evaluate(query, gallery, ks=(1,), dist=np.array([[bad, 1.0]]))
 
     def test_rank_k_non_decreasing(self):
         rng = np.random.default_rng(13)
