@@ -126,8 +126,7 @@ def config_hash(cfg: RunConfig) -> str:
     """Short digest of the experimental settings (output location excluded)."""
     doc = run_config_to_dict(cfg)
     doc.pop("output_dir")
-    canonical = json.dumps(doc, sort_keys=True)
-    return hashlib.sha256(canonical.encode()).hexdigest()[:12]
+    return _args_hash(**doc)
 
 
 def load_run_config(path, seed_override=None, out_override=None) -> RunConfig:
@@ -419,8 +418,9 @@ def cmd_ablate_dropout(args) -> int:
             f"ablate-dropout requires the uniform or overlap drop scheme with "
             f"at least 2 branches, got {cfg.model.drop_scheme} with {m}")
 
+    # a randomized kind has one branch, so keep_branches is cleared
     def single(scheme):
-        return replace(cfg.model, drop_scheme=scheme)
+        return replace(cfg.model, drop_scheme=scheme, keep_branches=None)
 
     variants = [
         ("element_dropout", single(ElementDropout(rate=0.25))),

@@ -14,6 +14,7 @@ gallery); cameras cycle round-robin over a given id's samples.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,7 +54,9 @@ class SynthConfig:
             raise ConfigError(
                 f"SynthConfig: part_count={self.part_count} must divide "
                 f"height={self.height}")
-        if self.noise_sigma < 0 or self.camera_shift_sigma < 0:
+        # by the sign bit, as numpy's normal() checks a scale: -0.0 too
+        if any(math.copysign(1.0, s) < 0
+               for s in (self.noise_sigma, self.camera_shift_sigma)):
             raise ConfigError("SynthConfig: sigmas must be non-negative")
         if not (0.0 <= self.occlusion_fraction <= 1.0
                 and 0.0 <= self.occluded_query_prob <= 1.0):

@@ -122,12 +122,6 @@ def batch_hard_mine(dist, ids) -> HardPairs:
 _BELOW_ONE = np.nextafter(1.0, 0.0)
 
 
-def _sigmoid_weight(delta):
-    """Sigmoid clamped below 1: float64 saturates for delta above ~37, but the
-    weight's open upper bound must survive in the returned value."""
-    return np.minimum(1.0 / (1.0 + np.exp(-delta)), _BELOW_ONE)
-
-
 def elastic_weight(max_pos, min_neg):
     """Weight w = sigmoid(max_pos / (min_neg + 1)) and the ratio itself.
 
@@ -141,7 +135,9 @@ def elastic_weight(max_pos, min_neg):
     if np.any(mp < 0) or np.any(mn < 0):
         raise ValueError("elastic_weight: distances must be non-negative")
     delta = mp / (mn + 1.0)
-    w = _sigmoid_weight(delta)
+    # clamped below 1: float64's sigmoid saturates for delta above ~37, but
+    # the weight's open upper bound must survive in the returned value
+    w = np.minimum(1.0 / (1.0 + np.exp(-delta)), _BELOW_ONE)
     if delta.ndim == 0:
         return float(delta), float(w)
     return delta, w
@@ -173,15 +169,20 @@ def batch_elastic_loss(vectors, ids, eta: float = 3.0, weighting="sigmoid",
         raise ValueError(f"batch_elastic_loss: unknown weighting {weighting!r}")
 
     # one distance function for training and evaluation
-    hard = batch_hard_mine(np.stack([sq_dist_matrix(v, v) for v in vectors]),
-                           ids)
+    dist = np.stack([sq_dist_matrix(v, v) for v in vectors])
+    # finite descriptors can still overflow; an inf distance would tie in
+    # the mining and turn the loss into inf or nan
+    if not np.isfinite(dist).all():
+        raise NumericError("batch_elastic_loss: squared distances must be "
+                           "finite")
+    hard = batch_hard_mine(dist, ids)
     total_valid = int(hard.valid.sum())
     if total_valid == 0:
         raise DegenerateBatchError(
             "no (anchor, branch) unit has both a positive and a negative")
     mp, mn = hard.max_pos_dist, hard.min_neg_dist
     if named:
-        w = _sigmoid_weight(mp / (mn + 1.0))
+        w = elastic_weight(mp, mn)[1]
     else:
         w = np.broadcast_to(np.asarray(weighting, dtype=np.float64), mp.shape)
         if not np.all(np.isfinite(w)):

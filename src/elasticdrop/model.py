@@ -112,6 +112,8 @@ class ModelConfig:
             raise ConfigError("ModelConfig: keep_branches must be >= 1")
         feat, embed = self.feat_channels, self.embed_dim
         check_array_bytes("ModelConfig", {
+            # a checkpoint's config sets the grid; a run config's data does
+            "masks (height, width)": (self.height, self.width),
             "weights (in_channels, feat_channels)": (self.in_channels, feat),
             "weights (feat_channels, feat_channels)": (feat, feat),
             "weights (feat_channels, embed_dim)": (feat, embed),
@@ -134,11 +136,12 @@ class ModelConfig:
             # building the schedule raises when it does not fit the grid
             masks = dropmask.branch_masks(self.drop_scheme, self.height,
                                           self.width)
-            if self.keep_branches is not None and self.keep_branches > len(masks):
-                raise ConfigError(
-                    f"ModelConfig: keep_branches={self.keep_branches} exceeds "
-                    f"the schedule's {len(masks)} branches")
         object.__setattr__(self, "scheme_branches", len(masks) or 1)
+        if self.keep_branches is not None and (
+                self.keep_branches > self.scheme_branches):
+            raise ConfigError(
+                f"ModelConfig: keep_branches={self.keep_branches} exceeds "
+                f"the schedule's {self.scheme_branches} branches")
         masks = masks[:self.keep_branches]
         if self.use_global_branch:
             masks.append(np.ones((self.height, self.width)))
@@ -151,28 +154,22 @@ class ModelConfig:
 
 @dataclass
 class ModelParams:
+    # in layer order; the residual pair is None without the resblock
     enc_w1: ParamTensor
     enc_b1: ParamTensor
     enc_w2: ParamTensor
     enc_b2: ParamTensor
+    res_w: ParamTensor | None
+    res_b: ParamTensor | None
     emb_w: ParamTensor
     emb_b: ParamTensor
     cls_w: ParamTensor
     cls_b: ParamTensor
-    res_w: ParamTensor | None = None
-    res_b: ParamTensor | None = None
 
     def named(self) -> dict[str, ParamTensor]:
-        out = {
-            "enc_w1": self.enc_w1, "enc_b1": self.enc_b1,
-            "enc_w2": self.enc_w2, "enc_b2": self.enc_b2,
-        }
-        if self.res_w is not None:
-            out["res_w"] = self.res_w
-            out["res_b"] = self.res_b
-        out.update({"emb_w": self.emb_w, "emb_b": self.emb_b,
-                    "cls_w": self.cls_w, "cls_b": self.cls_b})
-        return out
+        """The present parameters by name, in declaration order."""
+        return {f.name: p for f in fields(self)
+                if (p := getattr(self, f.name)) is not None}
 
     def zero_grads(self) -> None:
         for p in self.named().values():
@@ -202,8 +199,8 @@ def init_params(config: ModelConfig, rng: np.random.Generator | None = None
     emb_w, emb_b = init_linear(rng, config.feat_channels, config.embed_dim)
     cls_w, cls_b = init_linear(rng, config.embed_dim, config.num_classes)
     return ModelParams(enc_w1=enc_w1, enc_b1=enc_b1, enc_w2=enc_w2, enc_b2=enc_b2,
-                       emb_w=emb_w, emb_b=emb_b, cls_w=cls_w, cls_b=cls_b,
-                       res_w=res_w, res_b=res_b)
+                       res_w=res_w, res_b=res_b, emb_w=emb_w, emb_b=emb_b,
+                       cls_w=cls_w, cls_b=cls_b)
 
 
 def _check_images(images: Array, config: ModelConfig) -> Array:

@@ -19,11 +19,6 @@ from .errors import NumericError, ShapeError
 Array = np.ndarray
 
 
-def as_tensor(data) -> Array:
-    """Coerce input to a row-major float64 ndarray."""
-    return np.ascontiguousarray(np.asarray(data, dtype=np.float64))
-
-
 @dataclass
 class ParamTensor:
     """A trainable tensor bundled with its gradient and Adam state.
@@ -40,7 +35,7 @@ class ParamTensor:
 
     @classmethod
     def of(cls, value) -> "ParamTensor":
-        value = as_tensor(value)
+        value = np.ascontiguousarray(value, dtype=np.float64)
         return cls(
             value=value,
             grad=np.zeros_like(value),
@@ -60,24 +55,17 @@ def _value(x) -> Array:
     return x.value if isinstance(x, ParamTensor) else np.asarray(x, dtype=np.float64)
 
 
-def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int,
-                   shape=None) -> Array:
-    """Uniform init in +/- sqrt(6 / (fan_in + fan_out))."""
-    limit = math.sqrt(6.0 / (fan_in + fan_out))
-    if shape is None:
-        shape = (fan_in, fan_out)
-    return rng.uniform(-limit, limit, size=shape)
-
-
 def init_linear(rng: np.random.Generator, fan_in: int,
                 fan_out: int) -> tuple[ParamTensor, ParamTensor]:
-    """Glorot-uniform weight and bias for one dense layer.
+    """Glorot-uniform weight and bias for one dense layer, in
+    +/- sqrt(6 / (fan_in + fan_out)).
 
     The bias shares the weight's uniform range; a zero bias would pin the
     pre-activation of masked (all-zero) cells exactly on the relu kink.
     """
-    w = ParamTensor.of(glorot_uniform(rng, fan_in, fan_out))
-    b = ParamTensor.of(glorot_uniform(rng, fan_in, fan_out, shape=(fan_out,)))
+    limit = math.sqrt(6.0 / (fan_in + fan_out))
+    w = ParamTensor.of(rng.uniform(-limit, limit, size=(fan_in, fan_out)))
+    b = ParamTensor.of(rng.uniform(-limit, limit, size=(fan_out,)))
     return w, b
 
 

@@ -1,16 +1,24 @@
+import contextlib
 import copy
 import csv
+import io
 import json
+import tempfile
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from elasticdrop import dropmask
-from elasticdrop.cli import (config_hash, load_run_config, main,
+from elasticdrop.cli import (EvalConfig, config_hash, load_run_config, main,
                              run_config_from_dict, write_embedding_csv)
+from elasticdrop.data_synth import SynthConfig
 from elasticdrop.errors import ConfigError
+from elasticdrop.model import ModelConfig
 from elasticdrop.retrieval_eval import QuerySet
 
 
@@ -243,6 +251,17 @@ class TestTrainCommand:
         assert main(["train", "--config", str(path)]) == 1
         assert_one_config_error_line(capsys, "keep_branches=9")
 
+    def test_keep_branches_beyond_randomized_scheme_exit_1(self, tmp_path,
+                                                           capsys):
+        # a randomized kind trains one branch, like none
+        doc = micro_config(tmp_path)
+        doc["model"].update(branches=1, keep_branches=2, drop_scheme={
+            "kind": "dropblock", "block_h": 2, "block_w": 1})
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        assert main(["train", "--config", str(path)]) == 1
+        assert_one_config_error_line(capsys, "keep_branches=2")
+
     @pytest.mark.parametrize("section, key, value", [
         ("model", "epochs", "x"), ("model", "eta", "3"),
         ("model", "batch_p", True), ("model", "epochs", 3.0),
@@ -311,8 +330,12 @@ class TestTrainCommand:
         ("eval", "k2", -2, "k1 and k2 must be at least 1"),
         ("eval", "lambda_value", 7.5, "lambda_value must lie in [0, 1]"),
         ("eval", "lambda_value", -0.1, "lambda_value must lie in [0, 1]"),
+        # passes a `< 0` check, but numpy's normal() rejects the sign bit
+        ("data", "noise_sigma", -0.0, "sigmas must be non-negative"),
+        ("data", "camera_shift_sigma", -0.0, "sigmas must be non-negative"),
     ], ids=["decay_negative", "decay_zero", "k1_zero", "k2_negative",
-            "lambda_high", "lambda_low"])
+            "lambda_high", "lambda_low", "noise_sigma_minus_zero",
+            "camera_shift_sigma_minus_zero"])
     def test_out_of_range_value_exit_1(self, tmp_path, capsys, section, key,
                                        value, fragment):
         # re-ranking is off: a value it would use is checked all the same
@@ -594,6 +617,22 @@ class TestEvalCommand:
         assert code == 1
         assert_one_config_error_line(capsys, "eta must be of type float, got inf")
 
+    @pytest.mark.parametrize("key", ["height", "width"])
+    def test_oversized_checkpoint_grid_exit_1(self, tmp_path, config_path,
+                                              capsys, key):
+        # inside int64, but the config's (height, width) masks would pass
+        # numpy's byte limit
+        main(["train", "--config", str(config_path)])
+        path = tmp_path / "run" / "checkpoint.json"
+        blob = json.loads(path.read_text())
+        blob["config"][key] = 2 ** 62
+        path.write_text(json.dumps(blob))
+        capsys.readouterr()
+        code = main(["eval", "--config", str(config_path), "--checkpoint",
+                     str(path)])
+        assert code == 1
+        assert_one_config_error_line(capsys, "ModelConfig: masks (height, width)")
+
     def test_overflowing_checkpoint_params_exit_2(self, tmp_path, config_path,
                                                   capsys):
         # finite weights whose products overflow at inference
@@ -750,6 +789,16 @@ class TestAblationCommands:
                     for r in read_ablation(tmp_path / "run" / "ablation.csv")}
         assert {"baseline", "elastic_only"} <= variants
 
+    def test_dropout_grid_clears_keep_branches(self, tmp_path):
+        doc = micro_config(tmp_path / "run")
+        doc["model"]["keep_branches"] = 2
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        assert main(["ablate-dropout", "--config", str(path)]) == 0
+        variants = {r["variant"]
+                    for r in read_ablation(tmp_path / "run" / "ablation.csv")}
+        assert {"element_dropout", "dropblock", "consecutive"} <= variants
+
     def test_dropout_grid(self, tmp_path, config_path):
         code = main(["ablate-dropout", "--config", str(config_path)])
         assert code == 0
@@ -810,3 +859,142 @@ class TestAblationCommands:
               str(tmp_path / "y")])
         assert (tmp_path / "x" / "ablation.csv").read_bytes() == \
             (tmp_path / "y" / "ablation.csv").read_bytes()
+
+
+# --- drawn inputs -------------------------------------------------------------
+
+DRAWN = settings(derandomize=True, database=None, deadline=None,
+                 max_examples=150)
+
+# json values a field must survive: the wrong sign, the sign bit alone,
+# sizes past int64 or numpy's byte limit, not finite, the wrong type, null,
+# a list or an object. No int between 4 and 2**62 is drawn, since a size
+# field would then allocate that much.
+JSON_VALUES = st.one_of(
+    st.sampled_from([-0.0, 2 ** 62, 2 ** 63 - 1, 2 ** 63, 10 ** 30, 1e308,
+                     -1e308, float("nan"), float("inf"), float("-inf"), True,
+                     None, "x", [], {}, {"kind": "none"}]),
+    st.integers(-3, 3),
+    st.floats(),
+    st.lists(st.integers(-2, 3), max_size=3),
+    st.dictionaries(st.sampled_from(["kind", "m", "x"]), st.integers(-1, 2),
+                    max_size=2))
+
+# every field of each run config section (the model's grid keys, which
+# the data section owns, included)
+CONFIG_FIELDS = (
+    [("data", f.name) for f in fields(SynthConfig)]
+    + [("model", f.name) for f in fields(ModelConfig)]
+    + [("model", "branches")]
+    + [("eval", f.name) for f in fields(EvalConfig)])
+
+CSV_TOKENS = st.one_of(
+    st.sampled_from(["0", "1", "-1", "2", "0.5", "-0.0", "1e200", "1e400",
+                     "nan", "-inf", "x", "", "id", "9" * 30]),
+    st.integers(-2, 3).map(str), st.floats().map(repr),
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=4))
+CSV_TEXT = st.lists(st.lists(CSV_TOKENS, min_size=1, max_size=5),
+                    max_size=4).map(
+    lambda rows: "".join(",".join(r) + "\n" for r in rows))
+
+
+def run_quietly(argv):
+    """Exit code and stderr of ``main(argv)``, stdout dropped."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+def assert_documented_exit(code, err):
+    """Exit 0, or 1 or 2 with its one-line message and no traceback."""
+    assert code in (0, 1, 2)
+    if code:
+        assert len(err.splitlines()) == 1
+        assert err.startswith({1: "config error:", 2: "numeric failure:"}[code])
+
+
+def write_micro_config(tmp):
+    """The micro config, trained for one epoch, written under ``tmp``."""
+    doc = micro_config(Path(tmp) / "run")
+    doc["model"]["epochs"] = 1
+    path = Path(tmp) / "cfg.json"
+    path.write_text(json.dumps(doc))
+    return doc, path
+
+
+def holder(doc, where):
+    """The json container of the entry at key path ``where``, and its key."""
+    *parents, key = where
+    for name in parents:
+        doc = doc[name]
+    return doc, key
+
+
+@pytest.fixture(scope="module")
+def trained_checkpoint(tmp_path_factory):
+    _, path = write_micro_config(tmp_path_factory.mktemp("ckpt"))
+    assert run_quietly(["train", "--config", str(path)])[0] == 0
+    return path, json.loads((path.parent / "run" / "checkpoint.json").read_text())
+
+
+class TestDrawnInputs:
+    """One drawn json value, CSV text or checkpoint damage: the CLI exits
+    with a documented code and one message line, never a traceback."""
+
+    @DRAWN
+    @given(st.sampled_from(CONFIG_FIELDS + [("model", "drop_scheme", "m"),
+                                            ("model", "drop_scheme", "kind"),
+                                            ("model",), ("eval",)]),
+           JSON_VALUES)
+    def test_train_config_field(self, where, value):
+        # epochs stay at most 1, so that no draw trains for long
+        assume(where != ("model", "epochs") or type(value) is not int
+               or value <= 1)
+        with tempfile.TemporaryDirectory() as tmp:
+            doc, path = write_micro_config(tmp)
+            section, key = holder(doc, where)
+            section[key] = value
+            path.write_text(json.dumps(doc))
+            assert_documented_exit(*run_quietly(["train", "--config",
+                                                 str(path)]))
+
+    @DRAWN
+    @given(CSV_TEXT, CSV_TEXT, st.booleans())
+    def test_eval_csv_text(self, query, gallery, rerank):
+        with tempfile.TemporaryDirectory() as tmp:
+            doc, path = write_micro_config(tmp)
+            doc["eval"].update(rerank=rerank, k1=2, k2=1)
+            path.write_text(json.dumps(doc))
+            (Path(tmp) / "q.csv").write_text(query)
+            (Path(tmp) / "g.csv").write_text(gallery)
+            assert_documented_exit(*run_quietly([
+                "eval", "--config", str(path),
+                "--query-csv", str(Path(tmp) / "q.csv"),
+                "--gallery-csv", str(Path(tmp) / "g.csv")]))
+
+    @DRAWN
+    @given(st.data())
+    def test_eval_checkpoint_damage(self, trained_checkpoint, data):
+        config_path, blob = trained_checkpoint
+        blob = copy.deepcopy(blob)
+        names = sorted(blob["params"])
+        where = data.draw(st.sampled_from(
+            [(k,) for k in sorted(blob)]
+            + [("config", k) for k in sorted(blob["config"])]
+            + [("config", "drop_scheme", "m")]
+            + [("params", n) for n in names]
+            + [("params", n, part) for n in names for part in ("shape", "data")]
+            + [("params", n, "data", 0) for n in names]))
+        section, key = holder(blob, where)
+        if data.draw(st.booleans()) and isinstance(section, dict):
+            del section[key]
+        else:
+            section[key] = data.draw(JSON_VALUES)
+        with tempfile.TemporaryDirectory() as tmp:
+            ckpt = Path(tmp) / "checkpoint.json"
+            ckpt.write_text(json.dumps(blob))
+            assert_documented_exit(*run_quietly([
+                "eval", "--config", str(config_path), "--checkpoint",
+                str(ckpt)]))

@@ -477,3 +477,12 @@ class TestDescriptorBatch:
     def test_requires_stacked_branches(self, shape):
         with pytest.raises(ShapeError):
             batch_elastic_loss(np.zeros(shape), np.array([0, 0, 1, 1]))
+
+    @pytest.mark.parametrize("weighting", ["sigmoid", "detached", 1.0])
+    def test_rejects_overflowing_distances(self, weighting):
+        # finite descriptors whose squared distances overflow to inf: the
+        # loss was nan or inf, with finite gradients under a constant weight
+        vectors = np.array([[[0.0], [1e200], [2e200], [3e200]]])
+        with np.errstate(over="ignore"), pytest.raises(NumericError,
+                                                       match="finite"):
+            batch_elastic_loss(vectors, np.array([0, 0, 1, 1]), 3.0, weighting)

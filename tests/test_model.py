@@ -395,6 +395,15 @@ class TestCheckpoint:
         for name, p in params.named().items():
             assert np.array_equal(p.value, loaded.named()[name].value)
 
+    @pytest.mark.parametrize("use_resblock", [True, False])
+    def test_named_in_layer_order(self, use_resblock):
+        # Adam, checkpoints and gradcheck iterate this order
+        res = ["res_w", "res_b"] if use_resblock else []
+        params = init_params(tiny_config(use_resblock=use_resblock))
+        assert list(params.named()) == ["enc_w1", "enc_b1", "enc_w2", "enc_b2",
+                                        *res, "emb_w", "emb_b", "cls_w",
+                                        "cls_b"]
+
     def test_version_checked(self, tmp_path):
         path = tmp_path / "ckpt.json"
         path.write_text('{"format_version": 99}')
@@ -451,6 +460,7 @@ class TestConfigSerialization:
         dict(eta=0.0),
         dict(base_lr=-1.0),
         dict(decay_factor=-0.5),
+        dict(keep_branches=2, drop_scheme=DropBlock(block_h=2, block_w=2)),
     ])
     def test_schedule_checked_on_construction(self, over):
         with pytest.raises(ConfigError):
