@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
 import hashlib
 import json
 import math
@@ -226,7 +227,8 @@ def cmd_train(args) -> int:
 def _load_embedding_csv(path) -> QuerySet:
     """CSV rows: id, camera, then the descriptor floats (header optional).
 
-    Every row must carry the same number (at least one) of finite floats.
+    id and camera are int64 integers; every row must carry the same number
+    (at least one) of finite floats.
     """
     text = read_text(path, "embedding csv").strip().splitlines()
     ids, cameras, rows = [], [], []
@@ -241,6 +243,10 @@ def _load_embedding_csv(path) -> QuerySet:
         except (ValueError, IndexError) as exc:
             raise ConfigError(
                 f"bad embedding row in {path} line {lineno}: {exc}") from exc
+        # beyond int64 numpy would store the labels as floats, which merge
+        if not all(-2 ** 63 <= v < 2 ** 63 for v in (ids[-1], cameras[-1])):
+            raise ConfigError(f"{path} line {lineno}: id and camera must lie "
+                              f"in the int64 range")
         if not rows[-1]:
             raise ConfigError(
                 f"{path} line {lineno} has no descriptor values")
@@ -253,8 +259,9 @@ def _load_embedding_csv(path) -> QuerySet:
                 f"non-finite descriptor value in {path} line {lineno}")
     if not rows:
         raise ConfigError(f"no descriptor rows in {path}")
-    return QuerySet(descriptors=np.asarray(rows), ids=np.asarray(ids),
-                    cameras=np.asarray(cameras))
+    return QuerySet(descriptors=np.asarray(rows),
+                    ids=np.asarray(ids, dtype=np.int64),
+                    cameras=np.asarray(cameras, dtype=np.int64))
 
 
 def write_embedding_csv(path, s: QuerySet) -> None:
@@ -517,7 +524,34 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# glibc's mallopt parameters
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def _set_malloc_thresholds() -> None:
+    """Keep each training step's freed temporaries on the heap (glibc only).
+
+    A step allocates and frees (N*H*W, C) float64 trunk arrays of about
+    512 KB. Under glibc's dynamic thresholds the freed heap top goes back to
+    the kernel, so every step faults those pages in again. Fixed thresholds
+    keep blocks below 1 MiB on the heap and trim only past 32 MiB of free
+    top, while larger blocks (the re-ranker's distance matrices) are still
+    mapped and unmapped on their own, so peak memory does not grow. Set only
+    for the command line: a library caller keeps its own allocator settings.
+    """
+    # the running process's own symbols: no library search, no subprocess
+    try:
+        libc = ctypes.CDLL(None)
+    except (OSError, TypeError):  # no such handle, as on Windows
+        return
+    if hasattr(libc, "gnu_get_libc_version"):
+        libc.mallopt(_M_MMAP_THRESHOLD, 1 << 20)
+        libc.mallopt(_M_TRIM_THRESHOLD, 32 << 20)
+
+
 def main(argv=None) -> int:
+    _set_malloc_thresholds()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

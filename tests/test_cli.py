@@ -1,9 +1,15 @@
 import contextlib
 import copy
 import csv
+import ctypes
+import importlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
+import textwrap
 import warnings
 from dataclasses import fields
 from pathlib import Path
@@ -488,6 +494,39 @@ class TestEvalCommand:
                               "0,0,0.1,0.2\n1,0,nan,0.3\n")
         assert code == 1
         assert_one_config_error_line(capsys, "non-finite")
+
+    @pytest.mark.parametrize("query, gallery, where", [
+        # as float64, id 2**63 equals gallery id 2**63 + 1 and matched it
+        ("9223372036854775808,0,1.0\n-1,0,5.0\n",
+         "9223372036854775809,1,1.0\n-1,1,5.0\n7,1,3.0\n", "q.csv line 1"),
+        ("1,0,1.0\n", "1,1,1.0\n2,-9223372036854775809,3.0\n",
+         "g.csv line 2"),
+    ], ids=["query_id", "gallery_camera"])
+    def test_label_beyond_int64_exit_1(self, tmp_path, config_path, capsys,
+                                       query, gallery, where):
+        (tmp_path / "q.csv").write_text(query)
+        (tmp_path / "g.csv").write_text(gallery)
+        code = main(["eval", "--config", str(config_path),
+                     "--query-csv", str(tmp_path / "q.csv"),
+                     "--gallery-csv", str(tmp_path / "g.csv")])
+        assert code == 1
+        assert_one_config_error_line(capsys, f"{where}: id and camera must "
+                                             f"lie in the int64 range")
+
+    def test_int64_edge_labels_stay_distinct(self, tmp_path, config_path,
+                                             capsys):
+        # the query's true match is the farther gallery row; the nearer one
+        # differs from its id by one, which a float64 label would lose
+        top = 2 ** 63 - 1
+        (tmp_path / "q.csv").write_text(f"{top},{-2 ** 63},1.0\n")
+        (tmp_path / "g.csv").write_text(f"{top - 1},1,1.0\n{top},1,3.0\n")
+        code = main(["eval", "--config", str(config_path),
+                     "--query-csv", str(tmp_path / "q.csv"),
+                     "--gallery-csv", str(tmp_path / "g.csv")])
+        assert code == 0
+        doc = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert doc["all"]["num_valid_queries"] == 1
+        assert doc["all"]["rank"]["1"] == 0.0 and doc["all"]["mAP"] == 0.5
 
     @pytest.mark.parametrize("query, gallery", [
         ("0,0\n1,1\n", "0,1\n1,0\n"),
@@ -998,3 +1037,94 @@ class TestDrawnInputs:
             assert_documented_exit(*run_quietly([
                 "eval", "--config", str(config_path), "--checkpoint",
                 str(ckpt)]))
+
+
+def fake_libc(monkeypatch, glibc):
+    """Route ``ctypes.CDLL`` to a fake C library, glibc-like or not, and
+    return the list its ``mallopt`` calls go to."""
+    calls = []
+
+    class FakeLibc:
+        def __init__(self, name, *args, **kwargs):
+            assert name is None
+
+        def mallopt(self, param, value):
+            calls.append((param, value))
+
+    if glibc:
+        FakeLibc.gnu_get_libc_version = lambda self: b"2.36"
+    monkeypatch.setattr(ctypes, "CDLL", FakeLibc)
+    return calls
+
+
+def is_glibc():
+    try:
+        return hasattr(ctypes.CDLL(None), "gnu_get_libc_version")
+    except (OSError, TypeError):
+        return False
+
+
+class TestMallocThresholds:
+    """``main`` fixes glibc's mmap and trim thresholds, and nothing else
+    touches them."""
+
+    def test_glibc_gets_both_thresholds(self, monkeypatch):
+        calls = fake_libc(monkeypatch, glibc=True)
+        assert run_quietly(["masks", "--height", "4", "--width", "2",
+                            "--m", "2"])[0] == 0
+        assert calls == [(-3, 1 << 20), (-1, 32 << 20)]
+
+    def test_other_libc_gets_no_call(self, monkeypatch):
+        calls = fake_libc(monkeypatch, glibc=False)
+        assert run_quietly(["masks", "--height", "4", "--width", "2",
+                            "--m", "2"])[0] == 0
+        assert calls == []
+
+    def test_no_process_handle_is_a_no_op(self, monkeypatch):
+        def no_handle(name, *args, **kwargs):
+            raise TypeError("expected str, bytes or os.PathLike, not NoneType")
+
+        monkeypatch.setattr(ctypes, "CDLL", no_handle)
+        assert run_quietly(["masks", "--height", "4", "--width", "2",
+                            "--m", "2"])[0] == 0
+
+    def test_library_use_makes_no_call(self, monkeypatch, config_path):
+        calls = fake_libc(monkeypatch, glibc=True)
+        # a fresh import, so that import-time code runs under the fake too;
+        # monkeypatch puts the original modules back afterwards
+        for name in [m for m in sys.modules
+                     if m == "elasticdrop" or m.startswith("elasticdrop.")]:
+            monkeypatch.delitem(sys.modules, name)
+        cli = importlib.import_module("elasticdrop.cli")
+        cli.run_train_eval(cli.load_run_config(config_path))
+        assert calls == []
+
+    @pytest.mark.skipif(not is_glibc(), reason="glibc is not the C library")
+    def test_step_temporaries_stay_faulted_in(self):
+        # four 512 KB arrays, the size of a training step's trunk
+        # temporaries, allocated and freed 200 times
+        script = textwrap.dedent("""
+            import contextlib, io, resource, sys
+            import numpy as np
+            from elasticdrop.cli import main
+            if sys.argv[1] == "main":
+                with contextlib.redirect_stdout(io.StringIO()):
+                    main(["masks", "--height", "4", "--width", "2", "--m", "2"])
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            for _ in range(200):
+                arrays = [np.ones((1024, 64)) for _ in range(4)]
+                del arrays
+            print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+            """)
+        src = str(Path(importlib.import_module("elasticdrop").__file__)
+                  .parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+        def faults(mode):
+            done = subprocess.run([sys.executable, "-c", script, mode],
+                                  env=env, capture_output=True, text=True,
+                                  check=True)
+            return int(done.stdout)
+
+        assert faults("main") < faults("plain") / 10
