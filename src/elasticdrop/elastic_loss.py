@@ -196,6 +196,9 @@ def batch_elastic_loss(vectors, ids, eta: float = 3.0, weighting="sigmoid",
     # each branch's anchors sum first, then the branch sums left to right
     row_sums = np.where(hard.valid, w * hinge, 0.0).sum(axis=1)
     loss = float(np.cumsum(row_sums)[-1]) / total_valid
+    # finite hinges can still overflow in their sum (eta near the float max)
+    if not np.isfinite(loss):
+        raise NumericError("batch_elastic_loss: the loss must be finite")
 
     d_mp = np.where(active, w, 0.0)
     d_mn = -d_mp

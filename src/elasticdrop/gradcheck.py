@@ -127,7 +127,6 @@ def check_model_end_to_end(seed=0, trials=10, config: ModelConfig | None = None
             return forward_train(images, ids, params, config,
                                  rng=np.random.default_rng([seed, trial]))
 
-        params.zero_grads()
         weights = step().metric_weights
         analytic_grads = {name: p.grad.copy()
                           for name, p in params.named().items()}
@@ -152,7 +151,6 @@ def check_model_end_to_end(seed=0, trials=10, config: ModelConfig | None = None
 
             fd = finite_diff_grad(loss_of, p.value)
             worst = max(worst, max_rel_error(analytic, fd))
-        params.zero_grads()
     return worst
 
 

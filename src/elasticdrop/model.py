@@ -171,16 +171,11 @@ class ModelParams:
         return {f.name: p for f in fields(self)
                 if (p := getattr(self, f.name)) is not None}
 
-    def zero_grads(self) -> None:
-        for p in self.named().values():
-            p.zero_grad()
-
 
 @dataclass
 class ForwardOutput:
     # with the global branch on, its descriptor is the last one
     branch_descriptors: list[Array]
-    branch_logits: list[Array]
     # the (B, N) weights the metric loss used
     metric_weights: Array
     elastic_loss: float
@@ -276,18 +271,6 @@ def _shared_backward(d_pooled: Array, cache: dict, params: ModelParams,
     return d_feat + d_y
 
 
-def _head_backward(d_desc: Array, d_logits: Array, pooled: Array, desc: Array,
-                   params: ModelParams) -> Array:
-    """Embedding and classifier backward of one branch; returns d_pooled."""
-    gd, gw, gb = linear_backward(desc, params.cls_w, d_logits)
-    params.cls_w.grad += gw
-    params.cls_b.grad += gb
-    d_pooled, gw, gb = linear_backward(pooled, params.emb_w, d_desc + gd)
-    params.emb_w.grad += gw
-    params.emb_b.grad += gb
-    return d_pooled
-
-
 def metric_weighting(config: ModelConfig):
     """The metric loss's weighting: the plain triplet loss is the constant 1."""
     if config.loss == "triplet":
@@ -333,22 +316,25 @@ def forward_train(images, ids, params: ModelParams, config: ModelConfig,
         pooled.extend(p)
         caches.append(cache)
     descs = [linear_forward(p, params.emb_w, params.emb_b) for p in pooled]
-    logits = [linear_forward(d, params.cls_w, params.cls_b) for d in descs]
 
     stats = {}
     metric_loss, metric_grads = batch_elastic_loss(
         np.stack(descs), ids, config.eta, metric_weighting(config), stats)
 
-    ce_total = 0.0
-    d_logits = []
-    for lg in logits:
-        ce, g = softmax_cross_entropy(lg, ids)
+    # each branch's classifier, cross entropy and head backward, in order
+    ce_total, d_pooled = 0.0, []
+    for p, desc, d_desc in zip(pooled, descs, metric_grads):
+        ce, d_logits = softmax_cross_entropy(
+            linear_forward(desc, params.cls_w, params.cls_b), ids)
         ce_total += ce
-        d_logits.append(g)
-
-    d_pooled = np.stack([_head_backward(metric_grads[i], d_logits[i], pooled[i],
-                                        descs[i], params)
-                         for i in range(len(descs))])
+        gd, gw, gb = linear_backward(desc, params.cls_w, d_logits)
+        params.cls_w.grad += gw
+        params.cls_b.grad += gb
+        d, gw, gb = linear_backward(p, params.emb_w, d_desc + gd)
+        params.emb_w.grad += gw
+        params.emb_b.grad += gb
+        d_pooled.append(d)
+    d_pooled = np.stack(d_pooled)
     d_feat, start = None, 0
     for (mask, rows), cache in zip(passes, caches):
         d = _shared_backward(d_pooled[start:start + len(rows)], cache, params,
@@ -367,7 +353,6 @@ def forward_train(images, ids, params: ModelParams, config: ModelConfig,
 
     return ForwardOutput(
         branch_descriptors=descs,
-        branch_logits=logits,
         metric_weights=stats["weights"],
         elastic_loss=metric_loss,
         ce_loss=ce_total,
@@ -421,8 +406,6 @@ def train(samples: list[Sample], config: ModelConfig
         lr = learning_rate(config, epoch)
         batches = pk_batches(ids, config.batch_p, config.batch_k,
                              seed=[config.seed, 2, epoch])
-        if not batches:
-            raise ConfigError("train: PK sampler produced no batches")
         sums = np.zeros(3)
         for idx in batches:
             out = forward_train(images[idx], ids[idx], params, config,

@@ -43,13 +43,6 @@ class ParamTensor:
             adam_v=np.zeros_like(value),
         )
 
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.value.shape
-
-    def zero_grad(self) -> None:
-        self.grad[...] = 0.0
-
 
 def _value(x) -> Array:
     return x.value if isinstance(x, ParamTensor) else np.asarray(x, dtype=np.float64)
@@ -140,7 +133,7 @@ def softmax_cross_entropy(logits, labels) -> tuple[float, Array]:
 
 
 def adam_step(p: ParamTensor, lr: float, beta1: float = 0.9,
-              beta2: float = 0.999, eps: float = 1e-8) -> ParamTensor:
+              beta2: float = 0.999, eps: float = 1e-8) -> None:
     """Bias-corrected Adam update applied in place; clears the gradient."""
     if not np.all(np.isfinite(p.grad)):
         raise NumericError("adam_step: non-finite gradient")
@@ -152,7 +145,6 @@ def adam_step(p: ParamTensor, lr: float, beta1: float = 0.9,
     v_hat = p.adam_v / (1.0 - beta2 ** p.step_count)
     p.value = p.value - lr * m_hat / (np.sqrt(v_hat) + eps)
     p.grad = np.zeros_like(p.value)
-    return p
 
 
 def finite_diff_grad(f: Callable[[Array], float], x, h: float = 1e-5) -> Array:

@@ -415,6 +415,18 @@ class TestTrainCommand:
         assert len(err.splitlines()) == 1
         assert err.startswith("numeric failure:") and "finite" in err
 
+    def test_overflowing_metric_loss_exit_2(self, tmp_path, capsys):
+        # a finite eta whose hinges sum to inf; the run exited 0 and logged
+        # inf losses
+        doc = micro_config(tmp_path / "run")
+        doc["model"]["eta"] = 1e308
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        assert main(["train", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("numeric failure:") and "finite" in err
+
 
 class TestEvalCommand:
     def test_eval_checkpoint(self, tmp_path, config_path, capsys):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import nearest_neighbor_id_accuracy
 
@@ -153,3 +155,23 @@ class TestPkBatches:
         with pytest.raises(ConfigError):
             pk_batches(ids, p=2, k=2, seed=0)
 
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(counts=st.lists(st.integers(0, 9), max_size=8),
+           p=st.integers(1, 5), k=st.integers(1, 5),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_drawn_counts(self, counts, p, k, seed):
+        # either a ConfigError, exactly when fewer than p ids have k samples,
+        # or at least one batch of p distinct ids x k samples
+        ids = np.random.default_rng(seed).permutation(
+            np.repeat(np.arange(len(counts)), counts))
+        if sum(c >= k for c in counts) < p:
+            with pytest.raises(ConfigError):
+                pk_batches(ids, p=p, k=k, seed=seed)
+            return
+        batches = pk_batches(ids, p=p, k=k, seed=seed)
+        assert batches
+        for batch in batches:
+            unique, per_id = np.unique(ids[batch], return_counts=True)
+            assert unique.size == p and (per_id == k).all()
+        epoch = np.concatenate(batches)
+        assert np.unique(epoch).size == epoch.size

@@ -486,3 +486,12 @@ class TestDescriptorBatch:
         with np.errstate(over="ignore"), pytest.raises(NumericError,
                                                        match="finite"):
             batch_elastic_loss(vectors, np.array([0, 0, 1, 1]), 3.0, weighting)
+
+    @pytest.mark.parametrize("weighting", ["sigmoid", "detached", 1.0])
+    def test_rejects_overflowing_loss(self, weighting):
+        # every hinge is a finite eta, but their sum overflows: the loss was
+        # inf with all-finite gradients
+        with np.errstate(over="ignore"), pytest.raises(NumericError,
+                                                       match="finite"):
+            batch_elastic_loss(np.zeros((1, 4, 1)), np.array([0, 0, 1, 1]),
+                               1e308, weighting)

@@ -20,7 +20,7 @@ from elasticdrop.model import (ModelConfig, config_from_dict, config_to_dict,
                                encode, forward_train, infer, init_params,
                                learning_rate, load_checkpoint, save_checkpoint,
                                scheme_from_dict, train)
-from elasticdrop.numerics import softmax_cross_entropy
+from elasticdrop.numerics import linear_forward, softmax_cross_entropy
 
 
 def tiny_config(**over):
@@ -74,6 +74,16 @@ class TestEncode:
             encode(np.zeros((2, 5, 2, 2)), params, config)
 
 
+def branch_ce_sum(out, params, ids):
+    """Each branch's cross entropy, its logits recomputed from its
+    descriptor through the classifier, summed in branch order."""
+    total = 0.0
+    for desc in out.branch_descriptors:
+        total += softmax_cross_entropy(
+            linear_forward(desc, params.cls_w, params.cls_b), ids)[0]
+    return total
+
+
 class TestForwardTrain:
     def test_single_branch_no_drop_reduction(self):
         config = tiny_config(drop_scheme=NoDrop())
@@ -87,8 +97,23 @@ class TestForwardTrain:
         # total decomposes into one elastic term plus one cross entropy
         elastic, _ = batch_elastic_loss(np.stack(out.branch_descriptors), ids,
                                         config.eta)
-        ce, _ = softmax_cross_entropy(out.branch_logits[0], ids)
+        ce = branch_ce_sum(out, params, ids)
+        assert out.ce_loss == ce
         assert out.total_loss == pytest.approx(elastic + ce, abs=1e-12)
+
+    @pytest.mark.parametrize("over, branches", [
+        ({}, 2), (dict(use_global_branch=True), 3),
+        (dict(use_global_branch=True, drop_scheme=DropBlock(block_h=2,
+                                                             block_w=1)), 2)],
+        ids=["uniform_m2", "global_branch", "dropblock"])
+    def test_ce_loss_sums_branch_ces(self, over, branches):
+        config = tiny_config(**over)
+        params = init_params(config)
+        images, ids = tiny_inputs(config)
+        out = forward_train(images, ids, params, config,
+                            rng=np.random.default_rng(0))
+        assert len(out.branch_descriptors) == branches
+        assert out.ce_loss == branch_ce_sum(out, params, ids)
 
     def test_paper_scale_shape_trace(self):
         # 24 x 8 map with six branches produces six descriptors of width 512
@@ -125,7 +150,6 @@ class TestForwardTrain:
         images, ids = tiny_inputs(config)
         out = forward_train(images, ids, params, config)
         perm = np.array([2, 0, 3, 1])
-        params.zero_grads()
         out_p = forward_train(images[perm], ids[perm], params, config)
         for d, dp in zip(out.branch_descriptors, out_p.branch_descriptors):
             assert np.array_equal(d[perm], dp)
@@ -136,7 +160,6 @@ class TestForwardTrain:
         images, ids = tiny_inputs(config)
         before = forward_train(images, ids, params, config)
         params.res_w.value = params.res_w.value + 0.05
-        params.zero_grads()
         after = forward_train(images, ids, params, config)
         for d0, d1 in zip(before.branch_descriptors, after.branch_descriptors):
             assert not np.array_equal(d0, d1)
@@ -149,7 +172,6 @@ class TestForwardTrain:
         out = forward_train(images, ids, params, config)
         zeroed = images.copy()
         zeroed[:, 2:, :, :] = 0.0  # rows dropped by branch 2 of m=2
-        params.zero_grads()
         out_z = forward_train(zeroed, ids, params, config)
         assert np.allclose(out.branch_descriptors[1],
                            out_z.branch_descriptors[1], atol=1e-12)

@@ -177,6 +177,6 @@ class TestParamTensor:
         rng = np.random.default_rng(0)
         w, b = init_linear(rng, 4, 6)
         limit = np.sqrt(6.0 / 10.0)
-        assert w.shape == (4, 6) and b.shape == (6,)
+        assert w.value.shape == (4, 6) and b.value.shape == (6,)
         assert np.all(np.abs(w.value) <= limit)
         assert np.all(np.abs(b.value) <= limit)
