@@ -160,22 +160,16 @@ def _descriptor_sets(params: ModelParams, model_cfg: ModelConfig, samples
 
 def _evaluate_sets(query: QuerySet, gallery: GallerySet,
                    eval_cfg: EvalConfig) -> EvalMetrics:
-    """Score ``query`` against ``gallery``; raises NumericError when finite
-    descriptors overflow to an infinite distance, which would tie and rank
-    arbitrarily."""
-    if len(query) == 0:
-        return EvalMetrics({k: 0.0 for k in eval_cfg.ks}, 0.0, 0)
-    pairs = [(query, gallery)]
-    if eval_cfg.rerank:
-        pairs += [(query, query), (gallery, gallery)]
-    dists = [sq_dist_matrix(a.descriptors, b.descriptors) for a, b in pairs]
-    if not all(np.isfinite(d).all() for d in dists):
-        raise NumericError("descriptor distances overflow to infinity")
-    dist = dists[0]
-    if eval_cfg.rerank:
+    """Score ``query`` against ``gallery``, re-ranked when ``eval_cfg`` asks;
+    an empty query scores zeros. ``sq_dist_matrix`` raises NumericError when
+    finite descriptors overflow to an infinite distance."""
+    q, g = query.descriptors, gallery.descriptors
+    dist = sq_dist_matrix(q, g)
+    if eval_cfg.rerank and len(query):
         k1, k2 = clamped_rerank_params(len(query), len(gallery),
                                        eval_cfg.k1, eval_cfg.k2)
-        dist = k_reciprocal_rerank(*dists, k1=k1, k2=k2,
+        dist = k_reciprocal_rerank(dist, sq_dist_matrix(q, q),
+                                   sq_dist_matrix(g, g), k1=k1, k2=k2,
                                    lambda_value=eval_cfg.lambda_value)
     return evaluate(query, gallery, ks=eval_cfg.ks, dist=dist)
 
@@ -262,15 +256,6 @@ def _load_embedding_csv(path) -> QuerySet:
     return QuerySet(descriptors=np.asarray(rows),
                     ids=np.asarray(ids, dtype=np.int64),
                     cameras=np.asarray(cameras, dtype=np.int64))
-
-
-def write_embedding_csv(path, s: QuerySet) -> None:
-    dim = s.descriptors.shape[1]
-    lines = ["id,camera," + ",".join(f"f{i}" for i in range(dim))]
-    for i in range(len(s)):
-        vals = ",".join(repr(float(x)) for x in s.descriptors[i])
-        lines.append(f"{s.ids[i]},{s.cameras[i]},{vals}")
-    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def cmd_eval(args) -> int:

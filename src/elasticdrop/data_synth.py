@@ -79,7 +79,6 @@ class Sample:
 
 @dataclass
 class SynthDataset:
-    config: SynthConfig
     train: list[Sample]
     query: list[Sample]
     gallery: list[Sample]
@@ -147,7 +146,7 @@ def generate(config: SynthConfig) -> SynthDataset:
                 query.append(sample)
             else:
                 gallery.append(sample)
-    return SynthDataset(config=c, train=train, query=query, gallery=gallery)
+    return SynthDataset(train=train, query=query, gallery=gallery)
 
 
 def stack_images(samples: list[Sample]) -> tuple[Array, np.ndarray, np.ndarray]:

@@ -72,6 +72,9 @@ def sq_dist_matrix(a, b) -> Array:
     to it; only the memory traffic changes, since no (n, m) temporary is
     allocated per feature. A GEMM identity ``|a|^2 + |b|^2 - 2 a.b`` or a
     reduction over a stacked (D, rows, m) difference would round differently.
+
+    Raises NumericError when a distance is not finite: finite descriptors
+    can overflow, and an infinite distance ties in any ranking or mining.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -89,6 +92,8 @@ def sq_dist_matrix(a, b) -> Array:
             np.subtract(a[start:start + rows, d, None], b_t[d], out=tmp)
             np.multiply(tmp, tmp, out=tmp)
             block += tmp
+    if not np.isfinite(out).all():
+        raise NumericError("sq_dist_matrix: squared distances must be finite")
     return out
 
 
@@ -170,11 +175,6 @@ def batch_elastic_loss(vectors, ids, eta: float = 3.0, weighting="sigmoid",
 
     # one distance function for training and evaluation
     dist = np.stack([sq_dist_matrix(v, v) for v in vectors])
-    # finite descriptors can still overflow; an inf distance would tie in
-    # the mining and turn the loss into inf or nan
-    if not np.isfinite(dist).all():
-        raise NumericError("batch_elastic_loss: squared distances must be "
-                           "finite")
     hard = batch_hard_mine(dist, ids)
     total_valid = int(hard.valid.sum())
     if total_valid == 0:

@@ -290,8 +290,6 @@ def forward_train(images, ids, params: ModelParams, config: ModelConfig,
     images = _check_images(images, config)
     ids = np.asarray(ids, dtype=np.int64)
     n = images.shape[0]
-    if ids.shape != (n,):
-        raise ShapeError(f"ids {ids.shape} vs {n} images")
 
     # trunk passes as (randomized mask or None, keep rows); the randomized
     # branch comes first, then the fixed rows

@@ -126,6 +126,9 @@ def softmax_cross_entropy(logits, labels) -> tuple[float, Array]:
     log_z = np.log(np.exp(shifted).sum(axis=1))
     log_probs = shifted - log_z[:, None]
     loss = float(-log_probs[np.arange(n), labels].mean())
+    # finite logits spanning more than the float range overflow in the shift
+    if not math.isfinite(loss):
+        raise NumericError("softmax_cross_entropy: the loss must be finite")
     grad = np.exp(log_probs)
     grad[np.arange(n), labels] -= 1.0
     grad /= n

@@ -72,22 +72,18 @@ def evaluate(query: QuerySet, gallery: GallerySet, ks=(1, 5, 10),
     NumericError when a distance is not finite, since infinite distances
     would tie and rank arbitrarily.
     """
-    ks = sorted(int(k) for k in ks)
+    # a repeated k is one rank, scored once
+    ks = sorted({int(k) for k in ks})
     if not ks or ks[0] < 1:
         raise ConfigError(f"evaluate: ks must be positive integers, got {ks}")
     if len(gallery) == 0:
         raise ConfigError("evaluate: gallery is empty")
     if dist is None:
-        if query.descriptors.shape[1] != gallery.descriptors.shape[1]:
-            raise ShapeError(
-                f"evaluate: query dim {query.descriptors.shape[1]} vs gallery "
-                f"dim {gallery.descriptors.shape[1]}")
         dist = sq_dist_matrix(query.descriptors, gallery.descriptors)
-    else:
-        dist = np.asarray(dist, dtype=np.float64)
-        if dist.shape != (len(query), len(gallery)):
-            raise ShapeError(
-                f"evaluate: dist {dist.shape} vs ({len(query)}, {len(gallery)})")
+    dist = np.asarray(dist, dtype=np.float64)
+    if dist.shape != (len(query), len(gallery)):
+        raise ShapeError(
+            f"evaluate: dist {dist.shape} vs ({len(query)}, {len(gallery)})")
     if not np.isfinite(dist).all():
         raise NumericError("evaluate: distances must be finite")
 

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from elasticdrop import dropmask
 from elasticdrop.cli import (EvalConfig, config_hash, load_run_config, main,
-                             run_config_from_dict, write_embedding_csv)
+                             run_config_from_dict)
 from elasticdrop.data_synth import SynthConfig
 from elasticdrop.errors import ConfigError
 from elasticdrop.model import ModelConfig
@@ -42,6 +42,17 @@ def micro_config(out_dir, **data_over):
         "eval": {"ks": [1, 5]},
         "output_dir": str(out_dir),
     }
+
+
+def write_embedding_csv(path, s: QuerySet) -> None:
+    """The format ``eval --query-csv`` reads: a header, then id, camera and
+    every descriptor float per row."""
+    dim = s.descriptors.shape[1]
+    lines = ["id,camera," + ",".join(f"f{i}" for i in range(dim))]
+    for i in range(len(s)):
+        vals = ",".join(repr(float(x)) for x in s.descriptors[i])
+        lines.append(f"{s.ids[i]},{s.cameras[i]},{vals}")
+    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def assert_one_config_error_line(capsys, fragment):
@@ -426,6 +437,33 @@ class TestTrainCommand:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1
         assert err.startswith("numeric failure:") and "finite" in err
+
+    def test_repeated_ks_scored_once(self, tmp_path):
+        # a repeated rank counted its hits twice: occluded rank-1 read
+        # 0.667 for ks [1, 1, 5] against 0.333 for [1, 5]
+        ranks = []
+        for name, ks in (("repeated", [1, 1, 5]), ("distinct", [1, 5])):
+            doc = micro_config(tmp_path / name)
+            doc["eval"]["ks"] = ks
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(doc))
+            assert main(["train", "--config", str(path)]) == 0
+            metrics = json.loads((tmp_path / name / "metrics.json").read_text())
+            ranks.append({split: metrics[split]["rank"]
+                          for split in ("clean", "occluded")})
+        assert ranks[0] == ranks[1]
+
+    def test_empty_split_with_rerank(self, tmp_path):
+        # every query occluded: the clean split is empty and scores zeros
+        doc = micro_config(tmp_path / "run", occluded_query_prob=1.0)
+        doc["eval"].update(rerank=True, k1=4, k2=2)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        assert main(["train", "--config", str(path)]) == 0
+        metrics = json.loads((tmp_path / "run" / "metrics.json").read_text())
+        assert metrics["clean"] == {"rank": {"1": 0.0, "5": 0.0}, "mAP": 0.0,
+                                    "num_valid_queries": 0}
+        assert metrics["occluded"]["num_valid_queries"] > 0
 
 
 class TestEvalCommand:

@@ -86,6 +86,18 @@ def blocked_cases(draw):
     return a, b, draw(st.integers(1, 10)) * 8 * max(m, 1)
 
 
+@st.composite
+def overflow_cases(draw):
+    """(a, b): small sets mixing small values with magnitudes up to 1e160,
+    so that some squared distances overflow."""
+    n, m, dim = (draw(st.integers(0, 6)) for _ in range(3))
+    values = st.one_of(
+        st.floats(-10, 10, allow_nan=False, allow_infinity=False),
+        st.floats(-1e160, 1e160, allow_nan=False, allow_infinity=False))
+    return (draw(arrays(np.float64, (n, dim), elements=values)),
+            draw(arrays(np.float64, (m, dim), elements=values)))
+
+
 class TestSqDistBlocks:
     """The row-blocked kernel against the naive per-pair loop."""
 
@@ -137,6 +149,18 @@ class TestSqDistBlocks:
         with mock.patch.object(elastic_loss, "_SQ_DIST_BLOCK_BYTES",
                                block_bytes):
             assert_matches_naive(a, b)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(overflow_cases())
+    def test_finite_or_numeric_error_property(self, case):
+        a, b = case
+        with np.errstate(over="ignore"):
+            naive = naive_cross_sq_dist(a, b)
+            if np.isfinite(naive).all():
+                assert_matches_naive(a, b)
+            else:
+                with pytest.raises(NumericError, match="finite"):
+                    sq_dist_matrix(a, b)
 
 
 class TestBatchHardMine:

@@ -115,6 +115,15 @@ class TestForwardTrain:
         assert len(out.branch_descriptors) == branches
         assert out.ce_loss == branch_ce_sum(out, params, ids)
 
+    @pytest.mark.parametrize("ids_shape", [(3,), (5,), (4, 1)],
+                             ids=["short", "long", "column"])
+    def test_ids_shape_mismatch_rejected(self, ids_shape):
+        config = tiny_config()
+        images, _ = tiny_inputs(config)
+        ids = np.arange(np.prod(ids_shape)).reshape(ids_shape) % 2
+        with pytest.raises(ShapeError, match="ids"):
+            forward_train(images, ids, init_params(config), config)
+
     def test_paper_scale_shape_trace(self):
         # 24 x 8 map with six branches produces six descriptors of width 512
         # (feature width scaled down to keep the trace fast)

@@ -116,6 +116,13 @@ class TestSoftmaxCrossEntropy:
                                   logits)
             assert max_rel_error(grad, fd) < 1e-6
 
+    def test_rejects_overflowing_loss(self):
+        # finite logits spanning more than the float range: the loss was inf
+        # while the gradient stayed finite
+        with np.errstate(over="ignore"), pytest.raises(NumericError,
+                                                       match="finite"):
+            softmax_cross_entropy([[1e308, -1e308], [0.0, 1.0]], [1, 0])
+
     def test_label_out_of_range(self):
         with pytest.raises(ValueError, match="label"):
             softmax_cross_entropy([[0.0, 1.0]], [2])

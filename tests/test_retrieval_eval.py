@@ -111,6 +111,14 @@ class TestEvaluate:
         m = evaluate(query, gallery, ks=[1])
         assert m.num_valid_queries == 0 and m.mAP == 0.0
 
+    def test_repeated_ks_scored_once(self):
+        # a repeated k added each hit again: rank-1 read 2.0 for ks [1, 1]
+        query = make_set([[0.0], [10.0]], [1, 2], [0, 0])
+        gallery = make_set([[0.1], [10.1], [5.0]], [1, 2, 3], [1, 1, 1])
+        once = evaluate(query, gallery, ks=[1, 2])
+        assert once.rank_k[1] == 1.0
+        assert evaluate(query, gallery, ks=[2, 1, 1, 2]) == once
+
     def test_empty_gallery_rejected(self):
         query = make_set([[0.0]], [1], [0])
         with pytest.raises(ConfigError):
