@@ -24,7 +24,12 @@ pools
 folds every branch into one per-cell gradient
 ``sum_b keep_b[cell] * d_pooled_b / (H W)`` and runs one residual backward;
 res_b also collects ``sum_b dropped_b * sum_n d_pooled_b / (H W)`` where
-``res_b > 0``, the share of the constant cells. Inference is this path
+``res_b > 0``, the share of the constant cells. Both keep-row sums are
+batched ``np.matmul`` products, one BLAS call per sample: the dropped
+band sums ``(B, H W) @ (N, H W, C)`` and the per-cell fold
+``(H W, B) @ (N, B, C)``. With one partial keep row, or a feature width
+that is not a multiple of 8, BLAS may order those sums otherwise than
+cell by cell, which moves the last bits. Inference is this path
 with one all-ones keep row, the global branch. The fixed keep rows are
 the config's branch plan (``ModelConfig.keep_rows``), built once when the
 config is; every step reads that one copy. The randomized baselines
@@ -241,7 +246,7 @@ def _shared_forward(feat: Array, keep: Array, params: ModelParams,
         y, res_pre, dropped_cell = feat, None, 0.0
     y = y.reshape(-1, cell_count, config.feat_channels)
     dropped = 1.0 - keep
-    band_sums = np.einsum("bk,nkc->bnc", dropped, y)
+    band_sums = np.matmul(dropped, y).transpose(1, 0, 2)
     dropped_count = dropped.sum(axis=1)
     # full sum minus the dropped cells: an all-ones row stays infer's pooling
     sums = (y.sum(axis=1) - band_sums
@@ -258,7 +263,8 @@ def _shared_backward(d_pooled: Array, cache: dict, params: ModelParams,
     Accumulates the resblock grads and returns the (N*H*W, C) encoder grad.
     """
     d_cells = d_pooled / (config.height * config.width)
-    d_y = np.einsum("bk,bnc->nkc", cache["keep"], d_cells)
+    # (K, B) @ (N, B, C) comes out C-contiguous (N, K, C): the reshape is a view
+    d_y = np.matmul(cache["keep"].T, d_cells.transpose(1, 0, 2))
     d_y = d_y.reshape(-1, config.feat_channels)
     if not config.use_resblock:
         return d_y

@@ -99,12 +99,17 @@ def relu_forward(x) -> Array:
 
 
 def relu_backward(x, upstream_grad) -> Array:
-    """Pass upstream where x > 0, zero elsewhere (subgradient 0 at x = 0)."""
+    """g * [x > 0]: upstream where x > 0, zero elsewhere (subgradient 0 at x = 0).
+
+    A product, not a select: where x <= 0 a finite g gives a zero that may
+    be -0.0, and an infinite or NaN g gives NaN.
+    """
     x = np.asarray(x, dtype=np.float64)
     g = np.asarray(upstream_grad, dtype=np.float64)
     if x.shape != g.shape:
         raise ShapeError(f"relu_backward: x {x.shape} vs upstream {g.shape}")
-    return np.where(x > 0.0, g, 0.0)
+    # a multiply by the 0/1 gate has no data-dependent branch to mispredict
+    return g * (x > 0.0)
 
 
 def softmax_cross_entropy(logits, labels) -> tuple[float, Array]:

@@ -18,8 +18,12 @@ from elasticdrop.elastic_loss import (batch_elastic_loss, batch_hard_mine,
                                       elastic_weight, sq_dist_matrix)
 from elasticdrop.model import metric_weighting
 from elasticdrop.numerics import (linear_backward, linear_forward,
-                                  relu_backward, relu_forward,
-                                  softmax_cross_entropy)
+                                  relu_forward, softmax_cross_entropy)
+
+
+def naive_relu_backward(x, g):
+    """Upstream where x > 0, an exact +0.0 elsewhere: a select, not a product."""
+    return np.where(x > 0.0, g, 0.0)
 
 
 def naive_sq_dist(u, v) -> float:
@@ -319,6 +323,41 @@ def random_retrieval_instance(rng, max_n=30, dim_range=(2, 6), cam_range=(1, 4))
     return q_desc, q_ids, q_cams, g_desc, g_ids, g_cams
 
 
+def einsum_shared_forward(feat, keep, params, config):
+    """``model._shared_forward`` with its band sums as one ``np.einsum``."""
+    cell_count = config.height * config.width
+    if config.use_resblock:
+        res_pre = linear_forward(feat, params.res_w, params.res_b)
+        y = feat + relu_forward(res_pre)
+        dropped_cell = relu_forward(params.res_b.value)
+    else:
+        y, res_pre, dropped_cell = feat, None, 0.0
+    y = y.reshape(-1, cell_count, config.feat_channels)
+    dropped = 1.0 - keep
+    band_sums = np.einsum("bk,nkc->bnc", dropped, y)
+    dropped_count = dropped.sum(axis=1)
+    sums = (y.sum(axis=1) - band_sums
+            + dropped_count[:, None, None] * dropped_cell)
+    cache = {"keep": keep, "dropped_count": dropped_count, "feat": feat,
+             "res_pre": res_pre}
+    return sums / cell_count, cache
+
+
+def einsum_shared_backward(d_pooled, cache, params, config):
+    """``model._shared_backward`` with its per-cell fold as one ``np.einsum``."""
+    d_cells = d_pooled / (config.height * config.width)
+    d_y = np.einsum("bk,bnc->nkc", cache["keep"], d_cells)
+    d_y = d_y.reshape(-1, config.feat_channels)
+    if not config.use_resblock:
+        return d_y
+    d_res = naive_relu_backward(cache["res_pre"], d_y)
+    d_feat, gw, gb = linear_backward(cache["feat"], params.res_w, d_res)
+    params.res_w.grad += gw
+    d_dropped = cache["dropped_count"] @ d_cells.sum(axis=1)
+    params.res_b.grad += gb + np.where(params.res_b.value > 0.0, d_dropped, 0.0)
+    return d_feat + d_y
+
+
 def _naive_branch_forward(fmap, mask, params, config):
     """Mask the map, run the resblock on every cell, pool, embed, classify."""
     n = fmap.shape[0]
@@ -352,7 +391,7 @@ def _naive_branch_backward(d_desc, d_logits, cache, params, config, d_fmap):
     d_y = np.repeat(d_pooled[:, None, :] / cell_count, cell_count, axis=1)
     d_y = d_y.reshape(-1, config.feat_channels)
     if config.use_resblock:
-        d_res = relu_backward(cache["res_pre"], d_y)
+        d_res = naive_relu_backward(cache["res_pre"], d_y)
         d_z, gw, gb = linear_backward(cache["z"], params.res_w, d_res)
         params.res_w.grad += gw
         params.res_b.grad += gb
@@ -417,7 +456,7 @@ def naive_forward_train(images, ids, params, config, rng=None):
     d_h1, gw, gb = linear_backward(h1, params.enc_w2, d_feat)
     params.enc_w2.grad += gw
     params.enc_b2.grad += gb
-    d_a1 = relu_backward(a1, d_h1)
+    d_a1 = naive_relu_backward(a1, d_h1)
     _, gw, gb = linear_backward(cells, params.enc_w1, d_a1)
     params.enc_w1.grad += gw
     params.enc_b1.grad += gb

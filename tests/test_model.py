@@ -5,8 +5,12 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from oracles import mined_weights, naive_forward_train
+from oracles import (einsum_shared_backward, einsum_shared_forward,
+                     mined_weights, naive_forward_train)
 
 from elasticdrop.data_synth import SynthConfig, generate
 from elasticdrop.dropmask import (BatchDropBlock, BatchDropout, DropBlock,
@@ -16,8 +20,9 @@ from elasticdrop.elastic_loss import batch_elastic_loss
 from elasticdrop.errors import ConfigError, DegenerateBatchError, ShapeError
 from elasticdrop.gradcheck import MODEL_TOL, check_model_end_to_end, \
     model_variants
-from elasticdrop.model import (ModelConfig, config_from_dict, config_to_dict,
-                               encode, forward_train, infer, init_params,
+from elasticdrop.model import (ModelConfig, _shared_backward, _shared_forward,
+                               config_from_dict, config_to_dict, encode,
+                               forward_train, infer, init_params,
                                learning_rate, load_checkpoint, save_checkpoint,
                                scheme_from_dict, train)
 from elasticdrop.numerics import linear_forward, softmax_cross_entropy
@@ -314,6 +319,72 @@ class TestSharedTrunkOracle:
                     assert np.array_equal(d, r), case
                 for param, (g, r) in grads.items():
                     assert np.array_equal(g, r), f"{case} {param}"
+
+
+@st.composite
+def trunk_cases(draw, gemm_shapes):
+    """(config, keep, seed): 0/1 keep rows over a small grid.
+
+    ``gemm_shapes`` draws the shapes on which the batched products sum the
+    cells in index order, as einsum does: at least two cells, a feature
+    width that is a multiple of 8 (the default 32 and criterion 7's 64
+    among them), and either two or more keep rows or the one all-ones row
+    of the global branch and ``infer``. Otherwise any grid, width and row
+    count.
+    """
+    height, width = draw(st.tuples(st.integers(1, 8), st.integers(1, 8))
+                         .filter(lambda hw: not gemm_shapes or hw[0] * hw[1] > 1))
+    channels = draw(st.integers(1, 8).map(lambda k: 8 * k) if gemm_shapes
+                    else st.integers(1, 12))
+    config = ModelConfig(height=height, width=width, feat_channels=channels,
+                         use_resblock=draw(st.booleans()),
+                         drop_scheme=NoDrop())
+    if gemm_shapes and draw(st.booleans()):
+        keep = np.ones((1, height * width), dtype=bool)
+    else:
+        rows = draw(st.integers(2 if gemm_shapes else 1, 6))
+        keep = draw(arrays(np.bool_, (rows, height * width)))
+    return config, keep.astype(np.float64), draw(st.integers(0, 2 ** 32 - 1))
+
+
+def trunk_against_einsum(config, keep, seed, n):
+    """(new, einsum) pairs of the pooled maps, the encoder grad and every
+    parameter grad of one shared-trunk forward and backward."""
+    rng = np.random.default_rng(seed)
+    params = init_params(config, rng)
+    ref = copy.deepcopy(params)
+    feat = rng.normal(size=(n * config.height * config.width,
+                            config.feat_channels))
+    d_pooled = rng.normal(size=(len(keep), n, config.feat_channels))
+    pooled, cache = _shared_forward(feat, keep, params, config)
+    ref_pooled, ref_cache = einsum_shared_forward(feat, keep, ref, config)
+    d_feat = _shared_backward(d_pooled, cache, params, config)
+    ref_d_feat = einsum_shared_backward(d_pooled, ref_cache, ref, config)
+    return [(pooled, ref_pooled), (d_feat, ref_d_feat)] + [
+        (p.grad, ref.named()[name].grad) for name, p in params.named().items()]
+
+
+class TestTrunkContractions:
+    """The shared trunk's batched-matmul keep-row sums against the einsum
+    forms kept in tests/oracles.py. The keep rows are 0/1, so every product
+    is exact and only the order of the sum over cells can move a bit."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(trunk_cases(gemm_shapes=True), st.integers(0, 5))
+    def test_match_einsum_bit_for_bit(self, case, n):
+        # a BLAS gemm kernel that orders these sums otherwise fails here
+        for new, old in trunk_against_einsum(*case, n):
+            assert new.shape == old.shape and new.tobytes() == old.tobytes()
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(trunk_cases(gemm_shapes=False), st.integers(0, 5))
+    def test_match_einsum_within_reordering(self, case, n):
+        # a single row, a single cell or a narrow width goes to gemv or a
+        # kernel edge, which may sum the cells in another order
+        for new, old in trunk_against_einsum(*case, n):
+            assert new.shape == old.shape
+            assert np.max(np.abs(new - old), initial=0.0) <= \
+                TestSharedTrunkOracle.TOL
 
 
 class TestInfer:

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from elasticdrop.errors import NumericError, ShapeError
 from elasticdrop.numerics import (ParamTensor, adam_step, finite_diff_grad,
@@ -63,6 +66,16 @@ class TestLinear:
             linear_backward(np.zeros((2, 3)), np.zeros((3, 4)), np.zeros((2, 5)))
 
 
+@st.composite
+def gate_cases(draw):
+    """(x, g): finite arrays of one length, often holding +0.0 and -0.0."""
+    n = draw(st.integers(0, 12))
+    values = st.one_of(st.sampled_from([0.0, -0.0]),
+                       st.floats(allow_nan=False, allow_infinity=False))
+    return (draw(arrays(np.float64, n, elements=values)),
+            draw(arrays(np.float64, n, elements=values)))
+
+
 class TestRelu:
     def test_forward(self):
         assert np.array_equal(relu_forward([-1.0, 0.0, 2.0]), [0.0, 0.0, 2.0])
@@ -76,6 +89,22 @@ class TestRelu:
 
     def test_backward_zero_subgradient(self):
         assert relu_backward([0.0], [9.0]) == [0.0]
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(gate_cases())
+    def test_backward_is_the_select_on_finite_input(self, case):
+        # the product g * [x > 0] may give -0.0 where the select gives 0.0;
+        # the two compare equal
+        x, g = case
+        assert np.array_equal(relu_backward(x, g), np.where(x > 0, g, 0.0))
+
+    def test_backward_closed_gate_gives_nan_or_signed_zero(self):
+        with np.errstate(invalid="ignore"):
+            grad = relu_backward([-1.0, 0.0, -0.0, 2.0, 3.0],
+                                 [np.inf, -np.inf, np.nan, np.inf, -4.0])
+        assert np.isnan(grad[:3]).all()
+        assert np.array_equal(grad[3:], [np.inf, -4.0])
+        assert np.signbit(relu_backward([-1.0], [-4.0])).all()
 
     def test_backward_matches_finite_differences(self):
         rng = np.random.default_rng(19)
