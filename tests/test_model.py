@@ -17,7 +17,8 @@ from elasticdrop.dropmask import (BatchDropBlock, BatchDropout, DropBlock,
                                   ElementDropout, NoDrop, OverlapRowDrop,
                                   SpatialDropout, UniformRowDrop)
 from elasticdrop.elastic_loss import batch_elastic_loss
-from elasticdrop.errors import ConfigError, DegenerateBatchError, ShapeError
+from elasticdrop.errors import (ConfigError, DegenerateBatchError,
+                               NumericError, ShapeError)
 from elasticdrop.gradcheck import MODEL_TOL, check_model_end_to_end, \
     model_variants
 from elasticdrop.model import (ModelConfig, _shared_backward, _shared_forward,
@@ -25,7 +26,8 @@ from elasticdrop.model import (ModelConfig, _shared_backward, _shared_forward,
                                forward_train, infer, init_params,
                                learning_rate, load_checkpoint, save_checkpoint,
                                scheme_from_dict, train)
-from elasticdrop.numerics import linear_forward, softmax_cross_entropy
+from elasticdrop.numerics import (adam_step, linear_forward,
+                                  softmax_cross_entropy)
 
 
 def tiny_config(**over):
@@ -192,6 +194,30 @@ class TestForwardTrain:
         assert not np.allclose(out.branch_descriptors[0],
                                out_z.branch_descriptors[0], atol=1e-6)
 
+    def test_overflow_behind_closed_relu_gate_raises_at_adam(self):
+        # relu_backward is a product, so an overflowed upstream behind a
+        # closed gate is NaN, where the select-based oracle drops it; the
+        # first Adam step then raises instead of training on
+        config = tiny_config()
+        params = init_params(config)
+        params.enc_w1.value[:, 0] = 0.0
+        params.enc_b1.value[0] = -1.0  # hidden unit 0 is shut for every cell
+        params.enc_w2.value[0] = 1e308  # so d_feat @ enc_w2.T overflows there
+        params.emb_w.value *= 1e3
+        params.cls_w.value *= 1e6
+        ref = copy.deepcopy(params)
+        images, ids = tiny_inputs(config)
+        with np.errstate(over="ignore", invalid="ignore"):
+            forward_train(images, ids, params, config)
+            naive_forward_train(images, ids, ref, config)
+        assert np.isnan(params.enc_b1.grad[0]) and ref.enc_b1.grad[0] == 0.0
+        assert np.array_equal(params.enc_b1.grad[1:], ref.enc_b1.grad[1:])
+        for name, p in params.named().items():
+            assert np.isfinite(p.grad).all() != (name in ("enc_w1", "enc_b1")), \
+                name
+        with pytest.raises(NumericError):
+            adam_step(params.enc_b1, lr=1e-3)
+
     def test_single_id_batch_raises(self):
         config = tiny_config()
         params = init_params(config)
@@ -322,29 +348,34 @@ class TestSharedTrunkOracle:
 
 
 @st.composite
-def trunk_cases(draw, gemm_shapes):
+def trunk_cases(draw):
     """(config, keep, seed): 0/1 keep rows over a small grid.
 
-    ``gemm_shapes`` draws the shapes on which the batched products sum the
-    cells in index order, as einsum does: at least two cells, a feature
-    width that is a multiple of 8 (the default 32 and criterion 7's 64
-    among them), and either two or more keep rows or the one all-ones row
-    of the global branch and ``infer``. Otherwise any grid, width and row
-    count.
+    Any grid, feature width and row count, with the widths that are a
+    multiple of 8 (the default 32 and criterion 7's 64 among them) and the
+    one all-ones row of the global branch and ``infer`` drawn often.
     """
-    height, width = draw(st.tuples(st.integers(1, 8), st.integers(1, 8))
-                         .filter(lambda hw: not gemm_shapes or hw[0] * hw[1] > 1))
-    channels = draw(st.integers(1, 8).map(lambda k: 8 * k) if gemm_shapes
-                    else st.integers(1, 12))
+    height, width = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    channels = draw(st.one_of(st.integers(1, 12),
+                              st.integers(1, 8).map(lambda k: 8 * k)))
     config = ModelConfig(height=height, width=width, feat_channels=channels,
                          use_resblock=draw(st.booleans()),
                          drop_scheme=NoDrop())
-    if gemm_shapes and draw(st.booleans()):
-        keep = np.ones((1, height * width), dtype=bool)
-    else:
-        rows = draw(st.integers(2 if gemm_shapes else 1, 6))
-        keep = draw(arrays(np.bool_, (rows, height * width)))
+    keep = draw(st.one_of(st.just(np.ones((1, height * width), dtype=bool)),
+                          st.integers(1, 6).flatmap(lambda rows: arrays(
+                              np.bool_, (rows, height * width)))))
     return config, keep.astype(np.float64), draw(st.integers(0, 2 ** 32 - 1))
+
+
+def sums_in_index_order(config, keep):
+    """Whether the batched products sum the cells in index order, as einsum
+    does, on OpenBLAS 0.3.31's Haswell kernels (numpy 2.4): at least two
+    cells, a feature width that is a multiple of 8, and two or more keep
+    rows or the one all-ones row. One partial row goes to gemv, and a width
+    whose remainder mod 8 is 1-4 to a gemm edge kernel; both may sum in
+    another order."""
+    return (keep.shape[1] > 1 and config.feat_channels % 8 == 0
+            and (len(keep) > 1 or keep.all()))
 
 
 def trunk_against_einsum(config, keep, seed, n):
@@ -370,21 +401,19 @@ class TestTrunkContractions:
     is exact and only the order of the sum over cells can move a bit."""
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=200)
-    @given(trunk_cases(gemm_shapes=True), st.integers(0, 5))
-    def test_match_einsum_bit_for_bit(self, case, n):
-        # a BLAS gemm kernel that orders these sums otherwise fails here
-        for new, old in trunk_against_einsum(*case, n):
-            assert new.shape == old.shape and new.tobytes() == old.tobytes()
-
-    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
-    @given(trunk_cases(gemm_shapes=False), st.integers(0, 5))
-    def test_match_einsum_within_reordering(self, case, n):
-        # a single row, a single cell or a narrow width goes to gemv or a
-        # kernel edge, which may sum the cells in another order
+    @given(trunk_cases(), st.integers(0, 5))
+    def test_match_einsum(self, case, n):
+        # bit for bit where the kernels measured keep index order; a byte
+        # failure on another BLAS build says that build orders the sums
+        # otherwise, since every product is exact
+        exact = sums_in_index_order(*case[:2])
         for new, old in trunk_against_einsum(*case, n):
             assert new.shape == old.shape
-            assert np.max(np.abs(new - old), initial=0.0) <= \
-                TestSharedTrunkOracle.TOL
+            if exact:
+                assert new.tobytes() == old.tobytes()
+            else:
+                assert np.max(np.abs(new - old), initial=0.0) <= \
+                    TestSharedTrunkOracle.TOL
 
 
 class TestInfer:
