@@ -29,42 +29,37 @@ Array = np.ndarray
 #
 # Parameters are checked on construction: dropout rates lie in [0, 1), a
 # block's sides and a schedule's patch counts are positive. Whether a block
-# or patch fits a given map is checked where the map size is known.
+# or patch fits a given map is checked where the map size is known, a block
+# only by ``DropBlock.check_fits``.
 
-def _check_rate(rate: float) -> None:
-    if not 0.0 <= rate < 1.0:
-        raise ConfigError(f"drop rate must lie in [0, 1), got {rate}")
+class RandomizedDrop:
+    """Base of the randomized kinds, whose masks ``baseline_mask`` draws each step."""
 
 
 @dataclass(frozen=True)
-class ElementDropout:
+class _RateDrop(RandomizedDrop):
+    """A dropout whose one parameter is a drop rate in [0, 1)."""
+    rate: float
+
+    def __post_init__(self):
+        if not 0.0 <= self.rate < 1.0:
+            raise ConfigError(f"drop rate must lie in [0, 1), got {self.rate}")
+
+
+class ElementDropout(_RateDrop):
     """Independent Bernoulli drop per cell and channel, rescaled by 1/(1-rate)."""
-    rate: float
-
-    def __post_init__(self):
-        _check_rate(self.rate)
 
 
-@dataclass(frozen=True)
-class SpatialDropout:
+class SpatialDropout(_RateDrop):
     """Whole channels dropped independently per sample."""
-    rate: float
-
-    def __post_init__(self):
-        _check_rate(self.rate)
 
 
-@dataclass(frozen=True)
-class BatchDropout:
+class BatchDropout(_RateDrop):
     """One channel drop pattern shared across the whole batch."""
-    rate: float
-
-    def __post_init__(self):
-        _check_rate(self.rate)
 
 
 @dataclass(frozen=True)
-class DropBlock:
+class DropBlock(RandomizedDrop):
     """One random contiguous block zeroed per sample (with probability rate)."""
     block_h: int
     block_w: int
@@ -79,9 +74,16 @@ class DropBlock:
         if not 0.0 <= self.rate <= 1.0:
             raise ConfigError(f"DropBlock: rate must lie in [0, 1], got {self.rate}")
 
+    def check_fits(self, height: int, width: int) -> None:
+        """Raise unless the block fits a height x width map."""
+        if self.block_h > height or self.block_w > width:
+            raise ConfigError(
+                f"DropBlock: block {self.block_h}x{self.block_w} exceeds the "
+                f"map {height}x{width}")
+
 
 @dataclass(frozen=True)
-class BatchDropBlock:
+class BatchDropBlock(RandomizedDrop):
     """One random row band (fraction of the height) zeroed, shared across the batch."""
     rows_fraction: float
 
@@ -134,8 +136,6 @@ DROP_SCHEMES = {
 }
 
 DropStrategyKind = Union[tuple(DROP_SCHEMES.values())]
-
-RANDOM_KINDS = (ElementDropout, SpatialDropout, BatchDropout, DropBlock, BatchDropBlock)
 
 
 def uniform_row_partition(height: int, m: int) -> tuple[tuple[int, int], ...]:
@@ -239,25 +239,15 @@ def baseline_mask(kind: DropStrategyKind, height: int, width: int, channels: int
         keep = rng.random(shape) >= kind.rate
         return keep.astype(np.float64) / (1.0 - kind.rate)
 
-    if isinstance(kind, SpatialDropout):
+    if isinstance(kind, (SpatialDropout, BatchDropout)):
         keep = np.ones(shape)
         if kind.rate > 0.0:
-            chan = rng.random((batch_size, channels)) >= kind.rate
-            keep *= chan[:, None, None, :].astype(np.float64)
-        return keep
-
-    if isinstance(kind, BatchDropout):
-        keep = np.ones(shape)
-        if kind.rate > 0.0:
-            chan = rng.random(channels) >= kind.rate
-            keep *= chan[None, None, None, :].astype(np.float64)
+            n = batch_size if isinstance(kind, SpatialDropout) else 1
+            keep *= rng.random((n, 1, 1, channels)) >= kind.rate
         return keep
 
     if isinstance(kind, DropBlock):
-        if kind.block_h > height or kind.block_w > width:
-            raise ConfigError(
-                f"DropBlock: block {kind.block_h}x{kind.block_w} exceeds map "
-                f"{height}x{width}")
+        kind.check_fits(height, width)
         masks = np.ones(shape)
         for n in range(batch_size):
             if kind.rate < 1.0 and rng.random() >= kind.rate:

@@ -123,13 +123,8 @@ class ModelConfig:
             "weights (feat_channels, feat_channels)": (feat, feat),
             "weights (feat_channels, embed_dim)": (feat, embed),
             "weights (embed_dim, num_classes)": (embed, self.num_classes)})
-        if isinstance(self.drop_scheme, DropBlock) and (
-                self.drop_scheme.block_h > self.height
-                or self.drop_scheme.block_w > self.width):
-            raise ConfigError(
-                f"ModelConfig: DropBlock block {self.drop_scheme.block_h}x"
-                f"{self.drop_scheme.block_w} exceeds the map "
-                f"{self.height}x{self.width}")
+        if isinstance(self.drop_scheme, DropBlock):
+            self.drop_scheme.check_fits(self.height, self.width)
         # The branch plan, set outside the fields so that no dict, hash or
         # comparison sees it. scheme_branches: the schedule's length, 1 for a
         # randomized kind (the global branch not counted). keep_rows: the
@@ -137,7 +132,7 @@ class ModelConfig:
         # schedule cut to keep_branches, then the all-ones global branch;
         # None when no branch has a fixed mask.
         masks = []
-        if not isinstance(self.drop_scheme, dropmask.RANDOM_KINDS):
+        if not isinstance(self.drop_scheme, dropmask.RandomizedDrop):
             # building the schedule raises when it does not fit the grid
             masks = dropmask.branch_masks(self.drop_scheme, self.height,
                                           self.width)
@@ -300,7 +295,7 @@ def forward_train(images, ids, params: ModelParams, config: ModelConfig,
     # trunk passes as (randomized mask or None, keep rows); the randomized
     # branch comes first, then the fixed rows
     passes = []
-    if isinstance(config.drop_scheme, dropmask.RANDOM_KINDS):
+    if isinstance(config.drop_scheme, dropmask.RandomizedDrop):
         if rng is None:
             raise ConfigError("randomized drop scheme requires an rng")
         mask = dropmask.baseline_mask(

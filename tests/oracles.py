@@ -415,7 +415,7 @@ def naive_forward_train(images, ids, params, config, rng=None):
     ids = np.asarray(ids, dtype=np.int64)
     n = images.shape[0]
     scheme = config.drop_scheme
-    if isinstance(scheme, dropmask.RANDOM_KINDS):
+    if isinstance(scheme, dropmask.RandomizedDrop):
         masks = [dropmask.baseline_mask(scheme, config.height, config.width,
                                         config.feat_channels, rng,
                                         batch_size=n)]

@@ -1,12 +1,26 @@
 import numpy as np
 import pytest
 
-from elasticdrop.dropmask import (BatchDropBlock, BatchDropout, DropBlock,
-                                  ElementDropout, NoDrop, OverlapRowDrop,
+from elasticdrop.dropmask import (DROP_SCHEMES, BatchDropBlock, BatchDropout,
+                                  DropBlock, ElementDropout, NoDrop,
+                                  OverlapRowDrop, RandomizedDrop,
                                   SpatialDropout, UniformRowDrop, apply_mask,
                                   baseline_mask, branch_masks,
                                   overlap_row_partition, uniform_row_partition)
 from elasticdrop.errors import ConfigError, ShapeError
+from elasticdrop.model import ModelConfig
+
+# one valid instance of every DROP_SCHEMES kind on an 8x4 grid
+SCHEME_CASES = {
+    "uniform": UniformRowDrop(m=4),
+    "overlap": OverlapRowDrop(patch_h=4, overlap=1),
+    "none": NoDrop(),
+    "element_dropout": ElementDropout(0.25),
+    "spatial_dropout": SpatialDropout(0.25),
+    "batch_dropout": BatchDropout(0.25),
+    "dropblock": DropBlock(2, 2),
+    "batch_dropblock": BatchDropBlock(0.25),
+}
 
 
 class TestUniformPartition:
@@ -235,10 +249,57 @@ class TestBaselineMask:
             kind(*args)
 
     def test_block_exceeding_map(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="exceeds the map"):
             baseline_mask(DropBlock(5, 2), 4, 4, 2, self.rng)
+        with pytest.raises(ConfigError, match="exceeds the map"):
+            ModelConfig(height=8, width=4,
+                        drop_scheme=DropBlock(block_h=9, block_w=1))
+
+    @pytest.mark.parametrize("rate", [0.0, 0.25, 0.5])
+    @pytest.mark.parametrize("kind", [SpatialDropout, BatchDropout])
+    def test_channel_dropout_draw_stream(self, kind, rate):
+        rng = np.random.default_rng(7)
+        masks = baseline_mask(kind(rate), 6, 5, 8, rng, batch_size=3)
+        # the reference formula: a (batch, C) draw per sample for spatial
+        # dropout, one (C,) draw for batch dropout, no draw at rate 0
+        ref = np.random.default_rng(7)
+        expected = np.ones((3, 6, 5, 8))
+        if rate > 0.0:
+            if kind is SpatialDropout:
+                chan = ref.random((3, 8)) >= rate
+                expected *= chan[:, None, None, :].astype(np.float64)
+            else:
+                chan = ref.random(8) >= rate
+                expected *= chan[None, None, None, :].astype(np.float64)
+        assert masks.dtype == np.float64 and masks.shape == expected.shape
+        assert masks.tobytes() == expected.tobytes()
+        # the same count of values was drawn
+        assert rng.random() == ref.random()
 
     def test_deterministic_kind_rejected(self):
         with pytest.raises(ConfigError):
             baseline_mask(UniformRowDrop(4), 8, 4, 2, self.rng)
 
+
+class TestSchemeKinds:
+    def test_every_scheme_has_a_case(self):
+        assert SCHEME_CASES.keys() == DROP_SCHEMES.keys()
+
+    @pytest.mark.parametrize("kind", SCHEME_CASES.values(), ids=SCHEME_CASES)
+    def test_fixed_or_randomized(self, kind):
+        """A kind either has fixed branch masks or draws its masks, never both
+        and never neither, and every module agrees on which."""
+        try:
+            branch_masks(kind, 8, 4)
+            fixed = True
+        except ConfigError:
+            fixed = False
+        try:
+            drawn = baseline_mask(kind, 8, 4, 3, np.random.default_rng(0),
+                                  batch_size=2).shape == (2, 8, 4, 3)
+        except ConfigError:
+            drawn = False
+        config = ModelConfig(height=8, width=4, drop_scheme=kind)
+        assert not config.use_global_branch
+        assert (isinstance(kind, RandomizedDrop) == drawn == (not fixed)
+                == (config.keep_rows is None))
