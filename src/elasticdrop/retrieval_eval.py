@@ -110,6 +110,31 @@ def evaluate(query: QuerySet, gallery: GallerySet, ks=(1, 5, 10),
     return EvalMetrics({k: hits[k] / counted for k in ks}, ap_sum / counted, counted)
 
 
+# Rows of the pooled (n, n) distance matrix that ``k_reciprocal_rerank``
+# holds at once: a 64-row block of 1800 points is under 1 MB.
+_RERANK_BLOCK_ROWS = 64
+
+
+def _norm_row_blocks(q_q: Array, q_g: Array, g_g: Array, peak: float):
+    """Yield (start, rows): ``_RERANK_BLOCK_ROWS`` rows at a time of the
+    pooled matrix ``[[q_q, q_g], [q_g.T, g_g]]``, divided by ``peak`` when
+    it is positive; the matrix itself is never built."""
+    nq, total = len(q_q), len(q_q) + len(g_g)
+    for start in range(0, total, _RERANK_BLOCK_ROWS):
+        stop = min(start + _RERANK_BLOCK_ROWS, total)
+        # query rows [qs, qe), then gallery rows [gs, ge)
+        qs, qe = min(start, nq), min(stop, nq)
+        gs, ge = max(start, nq) - nq, max(stop, nq) - nq
+        rows = np.empty((stop - start, total))
+        rows[:qe - qs, :nq] = q_q[qs:qe]
+        rows[:qe - qs, nq:] = q_g[qs:qe]
+        rows[qe - qs:, :nq] = q_g[:, gs:ge].T
+        rows[qe - qs:, nq:] = g_g[gs:ge]
+        if peak > 0:
+            rows /= peak
+        yield start, rows
+
+
 def _partial_rank(norm: Array, m: int) -> Array:
     """The first ``m`` columns of ``np.argsort(norm, axis=1, kind="stable")``.
 
@@ -148,6 +173,18 @@ def _expanded_row(i: int, norm_row: Array, recip: list[set[int]],
     return idx, weights / weights.sum()
 
 
+def _expanded_rows(q_q: Array, q_g: Array, g_g: Array, peak: float,
+                   rank: Array, k1: int) -> list[tuple[Array, Array]]:
+    """Sparse V rows of all points, from a second pass over the normalized
+    row blocks; the reciprocal sets are freed on return."""
+    half = max(1, int(np.rint(k1 / 2.0)))
+    recip = _reciprocal_sets(rank, k1)
+    recip_half = _reciprocal_sets(rank, half)
+    return [_expanded_row(start + r, row, recip, recip_half)
+            for start, block in _norm_row_blocks(q_q, q_g, g_g, peak)
+            for r, row in enumerate(block)]
+
+
 def _mean_row(rows: list[tuple[Array, Array]], neighbors: Array) -> tuple[Array, Array]:
     """Mean of sparse rows, summing each column in neighbor order."""
     cols, inverse = np.unique(np.concatenate([rows[j][0] for j in neighbors]),
@@ -162,29 +199,38 @@ def k_reciprocal_rerank(q_g, q_q, g_g, k1: int = 20, k2: int = 6,
     """Refine query-gallery distances with k-reciprocal neighborhood encoding.
 
     Zhong et al. 2017 (arXiv:1701.08398), on the pooled n = nq + ng point
-    set with distances normalized by their global maximum. V is kept as
-    sparse rows (sorted columns, weights) and never as a dense (n, n) matrix:
+    set with distances normalized by their global maximum, the max of the
+    three blocks. Neither the pooled (n, n) matrix nor V is ever built:
+    normalized rows are read ``_RERANK_BLOCK_ROWS`` at a time straight from
+    the blocks, and V is kept as sparse rows (sorted columns, weights):
 
     1. ranks: the first m = max(k1 + 1, k2) columns of each row's stable
-       ascending order, from one ``np.partition`` and a stable sort of the
-       entries at or below the m-th value (O(n^2) plus the ties);
+       ascending order, from one ``np.partition`` per row block and a
+       stable sort of the entries at or below the m-th value (O(n^2) plus
+       the ties);
     2. reciprocal neighbor sets R(i, k1) and R(i, round(k1/2)), one Python
        set per point; R(i, k1) is expanded by each candidate's
        R(c, round(k1/2)) whenever two thirds of it already overlaps R(i, k1);
     3. sparse V[i] = normalized exp(-dist) over the expanded set (the point
-       itself is always included);
+       itself is always included), from a second pass over the row blocks;
     4. local query expansion: V[i] replaced by the mean of the V rows of i's
        top-k2 neighbors, duplicate columns summed (skipped for k2 <= 1);
     5. Jaccard distance 1 - sum(min(Vi, Vj)) / sum(max(Vi, Vj)) through an
        inverted index of the gallery rows' nonzeros sorted by column: a
        query touches only the gallery entries in its own columns, and
        sum(max) = sum(Vi) + sum(Vj) - sum(min);
-    6. output lambda * original_q_g + (1 - lambda) * jaccard.
+    6. output lambda * original_q_g + (1 - lambda) * jaccard, written into
+       each output row as its Jaccard row is made.
 
-    Past the O(n^2) ranking, the cost grows with the nonzeros of V, a few
-    dozen per row, rather than with n^2 per query. ``tests/oracles.py``
-    keeps the dense form as ``dense_rerank``; the two agree to the last
-    bits, since the Jaccard sums run in another order.
+    Memory beyond the three input blocks: one row block of n columns, the
+    (n, m) ranks, O(n (k1 + 1)^2) for the reciprocal sets, the sparse V
+    rows and the (nq, ng) result. Past the O(n^2) ranking, the cost grows
+    with the nonzeros of V, a few dozen per row, rather than with n^2 per
+    query. ``tests/oracles.py`` keeps the dense form as ``dense_rerank``;
+    the two agree to the last bits, since the Jaccard sums run in another
+    order. The result does not depend on the row-block size. Raises
+    ConfigError on an empty gallery; an empty query set gives a (0, ng)
+    result.
     """
     q_g = np.asarray(q_g, dtype=np.float64)
     q_q = np.asarray(q_q, dtype=np.float64)
@@ -194,6 +240,8 @@ def k_reciprocal_rerank(q_g, q_q, g_g, k1: int = 20, k2: int = 6,
         raise ShapeError(
             f"k_reciprocal_rerank: blocks {q_g.shape}, {q_q.shape}, {g_g.shape} "
             "do not assemble")
+    if ng == 0:
+        raise ConfigError("k_reciprocal_rerank: gallery is empty")
     total = nq + ng
     if not (1 <= k1 < total and 1 <= k2 < total):
         raise ConfigError(
@@ -201,16 +249,14 @@ def k_reciprocal_rerank(q_g, q_q, g_g, k1: int = 20, k2: int = 6,
     if not 0.0 <= lambda_value <= 1.0:
         raise ConfigError(f"k_reciprocal_rerank: lambda {lambda_value} outside [0, 1]")
 
-    norm = np.block([[q_q, q_g], [q_g.T, g_g]])
-    peak = norm.max()
-    if peak > 0:
-        norm /= peak
-    rank = _partial_rank(norm, max(k1 + 1, k2))
+    # np.max keeps a nan from any block, as the pooled matrix's max did
+    peak = np.max([block.max() for block in (q_q, q_g, g_g) if block.size])
+    m = max(k1 + 1, k2)
+    rank = np.empty((total, m), dtype=np.int64)
+    for start, block in _norm_row_blocks(q_q, q_g, g_g, peak):
+        rank[start:start + len(block)] = _partial_rank(block, m)
 
-    half = max(1, int(np.rint(k1 / 2.0)))
-    recip = _reciprocal_sets(rank, k1)
-    recip_half = _reciprocal_sets(rank, half)
-    rows = [_expanded_row(i, norm[i], recip, recip_half) for i in range(total)]
+    rows = _expanded_rows(q_q, q_g, g_g, peak, rank, k1)
     if k2 > 1:
         rows = [_mean_row(rows, rank[i, :k2]) for i in range(total)]
 
@@ -223,7 +269,7 @@ def k_reciprocal_rerank(q_g, q_q, g_g, k1: int = 20, k2: int = 6,
     starts = np.searchsorted(g_cols[by_col], np.arange(total + 1))
     g_sums = np.array([vals.sum() for _, vals in rows[nq:]])
 
-    jaccard = np.zeros((nq, ng))
+    out = np.empty((nq, ng))
     for i in range(nq):
         cols, vals = rows[i]
         lo = starts[cols]
@@ -233,9 +279,11 @@ def k_reciprocal_rerank(q_g, q_q, g_g, k1: int = 20, k2: int = 6,
         mins = np.bincount(g_rows[hit], minlength=ng,
                            weights=np.minimum(np.repeat(vals, counts), g_vals[hit]))
         maxs = vals.sum() + g_sums - mins
-        jaccard[i] = 1.0 - np.divide(mins, maxs, out=np.zeros(ng), where=maxs > 0)
-
-    return lambda_value * q_g + (1.0 - lambda_value) * jaccard
+        jaccard = 1.0 - np.divide(mins, maxs, out=np.zeros(ng), where=maxs > 0)
+        # lambda * q_g + (1 - lambda) * jaccard: the same two products and sum
+        out[i] = (1.0 - lambda_value) * jaccard
+        out[i] += lambda_value * q_g[i]
+    return out
 
 
 def clamped_rerank_params(nq: int, ng: int, k1: int, k2: int) -> tuple[int, int]:

@@ -503,6 +503,23 @@ class TestEvalCommand:
         assert main(["train", "--config", str(path)]) == 0
         assert (tmp_path / "run" / "metrics.json").exists()
 
+    def test_empty_gallery_with_rerank_exit_1(self, tmp_path, capsys):
+        # two samples per id leave no gallery split; re-ranking ended in a
+        # ValueError traceback where plain scoring exits 1
+        train_path = tmp_path / "train.json"
+        train_path.write_text(json.dumps(micro_config(tmp_path / "run",
+                                                      samples_per_id=4)))
+        assert main(["train", "--config", str(train_path)]) == 0
+        doc = micro_config(tmp_path / "eval", samples_per_id=2)
+        doc["eval"].update(rerank=True, k1=2, k2=1)
+        eval_path = tmp_path / "eval.json"
+        eval_path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        code = main(["eval", "--config", str(eval_path), "--checkpoint",
+                     str(tmp_path / "run" / "checkpoint.json")])
+        assert code == 1
+        assert_one_config_error_line(capsys, "gallery is empty")
+
     def test_eval_needs_source(self, config_path):
         assert main(["eval", "--config", str(config_path)]) == 1
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from hypothesis.extra.numpy import arrays
 from oracles import (dense_rerank, naive_evaluate, random_retrieval_instance,
                      rerank_reference)
 
+from elasticdrop import retrieval_eval
 from elasticdrop.elastic_loss import sq_dist_matrix
 from elasticdrop.errors import ConfigError, NumericError, ShapeError
 from elasticdrop.retrieval_eval import (EvalMetrics, GallerySet, QuerySet,
@@ -209,6 +212,17 @@ class TestKReciprocalRerank:
             k_reciprocal_rerank(np.zeros((2, 3)), np.zeros((2, 2)),
                                 np.zeros((4, 4)))
 
+    def test_empty_gallery_rejected(self):
+        with pytest.raises(ConfigError, match="gallery is empty"):
+            k_reciprocal_rerank(np.zeros((3, 0)), np.zeros((3, 3)),
+                                np.zeros((0, 0)), k1=1, k2=1)
+
+    def test_empty_query_gives_empty_result(self):
+        g = np.arange(8.0).reshape(4, 2)
+        out = k_reciprocal_rerank(np.zeros((0, 4)), np.zeros((0, 0)),
+                                  sq_dist_matrix(g, g), k1=2, k2=2)
+        assert out.shape == (0, 4) and out.dtype == np.float64
+
     def test_improves_noisy_ranking(self):
         # clustered ids: re-ranking should not hurt mAP on an easy instance
         rng = np.random.default_rng(3)
@@ -263,6 +277,18 @@ def integer_rerank_cases(draw):
             draw(st.integers(1, total - 1)), draw(st.floats(0.0, 1.0)))
 
 
+@st.composite
+def blocked_rerank_cases(draw):
+    """``integer_rerank_cases`` as distance blocks, with a nan at one entry
+    of one block in some cases, and a row-block size in [2, n)."""
+    q, g, k1, k2, lam = draw(integer_rerank_cases())
+    blocks = rerank_blocks(q, g)
+    if draw(st.booleans()):
+        block = blocks[draw(st.integers(0, 2))]
+        block.flat[draw(st.integers(0, block.size - 1))] = np.nan
+    return blocks, k1, k2, lam, draw(st.integers(2, len(q) + len(g) - 1))
+
+
 class TestSparseRerank:
     """The sparse routine against the dense form it replaced and the
     step-by-step definition."""
@@ -299,6 +325,43 @@ class TestSparseRerank:
         fast = k_reciprocal_rerank(*blocks, k1=k1, k2=k2, lambda_value=lam)
         ref = rerank_reference(*blocks, k1=k1, k2=k2, lambda_value=lam)
         assert np.abs(fast - ref).max() < 1e-9
+
+
+class TestStreamedRows:
+    """The pooled (n, n) matrix is read in row blocks and never built."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @given(blocked_rerank_cases())
+    def test_block_size_does_not_change_the_result(self, case):
+        blocks, k1, k2, lam, drawn = case
+        n = len(blocks[1]) + len(blocks[2])
+        outs = []
+        for size in (1, drawn, n):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(retrieval_eval, "_RERANK_BLOCK_ROWS", size)
+                outs.append(k_reciprocal_rerank(*blocks, k1=k1, k2=k2,
+                                                lambda_value=lam))
+        assert all(out.tobytes() == outs[0].tobytes() for out in outs)
+        # the dense form normalizes by the pooled matrix's max, so a nan in
+        # any block leaves every distance unscaled there too
+        np.testing.assert_allclose(
+            outs[0], dense_rerank(*blocks, k1=k1, k2=k2, lambda_value=lam),
+            rtol=0, atol=1e-12)
+
+    def test_memory_below_one_pooled_matrix(self):
+        # the bound is one pooled (n, n) float64 matrix, never built whole
+        query, gallery = clustered_sets(np.random.default_rng(21), nq=250,
+                                        ng=750)
+        blocks = rerank_blocks(query.descriptors, gallery.descriptors)
+        n = len(query) + len(gallery)
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            k_reciprocal_rerank(*blocks, k1=20, k2=6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - entry < 8 * n * n
 
 
 class TestClampedParams:
