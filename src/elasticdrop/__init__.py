@@ -17,11 +17,11 @@ from .elastic_loss import (HardPairs, batch_elastic_loss, batch_hard_mine,
                            batch_hard_triplet_loss, elastic_weight,
                            sq_dist_matrix)
 from .errors import ConfigError, DegenerateBatchError, NumericError, ShapeError
-from .model import (ForwardOutput, ModelConfig, ModelParams, encode,
-                    forward_train, infer, init_params, learning_rate,
-                    load_checkpoint, save_checkpoint, train)
+from .model import (ForwardOutput, ModelConfig, ModelParams, forward_train,
+                    infer, init_params, learning_rate, load_checkpoint,
+                    save_checkpoint, train)
 from .numerics import (ParamTensor, adam_step, finite_diff_grad, linear_backward,
                        linear_forward, max_rel_error, relu_backward, relu_forward,
                        softmax_cross_entropy)
-from .retrieval_eval import (EvalMetrics, GallerySet, QuerySet, RetrievalSet,
-                             evaluate, k_reciprocal_rerank)
+from .retrieval_eval import (EvalMetrics, QuerySet, RetrievalSet, evaluate,
+                             k_reciprocal_rerank)

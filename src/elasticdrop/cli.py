@@ -34,9 +34,8 @@ from .gradcheck import run_gradient_checks
 from .model import (ModelConfig, ModelParams, check_fields, config_from_dict,
                     config_to_dict, infer, load_checkpoint, save_checkpoint,
                     train)
-from .retrieval_eval import (EvalMetrics, QuerySet, GallerySet,
-                             clamped_rerank_params, evaluate,
-                             k_reciprocal_rerank)
+from .retrieval_eval import (EvalMetrics, RetrievalSet, clamped_rerank_params,
+                             evaluate, k_reciprocal_rerank)
 from .elastic_loss import sq_dist_matrix
 
 
@@ -149,16 +148,16 @@ def load_run_config(path, seed_override=None, out_override=None) -> RunConfig:
 # --- shared pipeline pieces -------------------------------------------------
 
 def _descriptor_sets(params: ModelParams, model_cfg: ModelConfig, samples
-                     ) -> QuerySet:
+                     ) -> RetrievalSet:
     if not samples:
-        return QuerySet(np.zeros((0, model_cfg.embed_dim)),
-                        np.zeros(0, dtype=int), np.zeros(0, dtype=int))
+        return RetrievalSet(np.zeros((0, model_cfg.embed_dim)),
+                            np.zeros(0, dtype=int), np.zeros(0, dtype=int))
     images, ids, cameras = stack_images(samples)
     descs = infer(images, params, model_cfg)
-    return QuerySet(descriptors=descs, ids=ids, cameras=cameras)
+    return RetrievalSet(descriptors=descs, ids=ids, cameras=cameras)
 
 
-def _evaluate_sets(query: QuerySet, gallery: GallerySet,
+def _evaluate_sets(query: RetrievalSet, gallery: RetrievalSet,
                    eval_cfg: EvalConfig) -> EvalMetrics:
     """Score ``query`` against ``gallery``, re-ranked when ``eval_cfg`` asks;
     an empty query scores zeros. ``sq_dist_matrix`` raises NumericError when
@@ -218,7 +217,7 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _load_embedding_csv(path) -> QuerySet:
+def _load_embedding_csv(path) -> RetrievalSet:
     """CSV rows: id, camera, then the descriptor floats (header optional).
 
     id and camera are int64 integers; every row must carry the same number
@@ -253,9 +252,9 @@ def _load_embedding_csv(path) -> QuerySet:
                 f"non-finite descriptor value in {path} line {lineno}")
     if not rows:
         raise ConfigError(f"no descriptor rows in {path}")
-    return QuerySet(descriptors=np.asarray(rows),
-                    ids=np.asarray(ids, dtype=np.int64),
-                    cameras=np.asarray(cameras, dtype=np.int64))
+    return RetrievalSet(descriptors=np.asarray(rows),
+                        ids=np.asarray(ids, dtype=np.int64),
+                        cameras=np.asarray(cameras, dtype=np.int64))
 
 
 def cmd_eval(args) -> int:

@@ -172,6 +172,7 @@ def overlap_row_partition(height: int, patch_h: int, overlap: int
     return tuple(ranges)
 
 
+# no caller in the package: perfbench/spans.py wraps it by name
 def apply_mask(feature_map, mask) -> Array:
     """Multiply an (H, W, C) or (N, H, W, C) map by an (H, W) mask.
 

@@ -131,7 +131,7 @@ def elastic_weight(max_pos, min_neg):
     """Weight w = sigmoid(max_pos / (min_neg + 1)) and the ratio itself.
 
     Returns (delta, w); w always lies in [1/2, 1) for non-negative finite
-    inputs. Accepts scalars or arrays elementwise.
+    inputs. Elementwise over arrays; scalars give np.float64 scalars.
     """
     mp = np.asarray(max_pos, dtype=np.float64)
     mn = np.asarray(min_neg, dtype=np.float64)
@@ -143,8 +143,6 @@ def elastic_weight(max_pos, min_neg):
     # clamped below 1: float64's sigmoid saturates for delta above ~37, but
     # the weight's open upper bound must survive in the returned value
     w = np.minimum(1.0 / (1.0 + np.exp(-delta)), _BELOW_ONE)
-    if delta.ndim == 0:
-        return float(delta), float(w)
     return delta, w
 
 
@@ -223,6 +221,7 @@ def batch_elastic_loss(vectors, ids, eta: float = 3.0, weighting="sigmoid",
     return loss, grads.reshape(b, n, dim)
 
 
+# no caller in the package: perfbench/spans.py wraps it by name
 def batch_hard_triplet_loss(vectors, ids, eta: float = 3.0
                             ) -> tuple[float, Array]:
     """Plain batch-hard hinge over stacked branches: the constant weight 1."""

@@ -198,30 +198,20 @@ def init_params(config: ModelConfig, rng: np.random.Generator | None = None
                        cls_w=cls_w, cls_b=cls_b)
 
 
-def _check_images(images: Array, config: ModelConfig) -> Array:
+def _encode_cells(images, params: ModelParams, config: ModelConfig):
+    """Check the (N, H, W, in) images, then run the per-cell two-layer
+    encoder over their (N*H*W, in) cells; returns (cells, a1, h1, feat)."""
     images = np.asarray(images, dtype=np.float64)
     expected = (config.height, config.width, config.in_channels)
     if images.ndim != 4 or images.shape[1:] != expected:
         raise ShapeError(
             f"images {images.shape} do not match (N, {expected[0]}, "
             f"{expected[1]}, {expected[2]})")
-    return images
-
-
-def _encode_cells(images: Array, params: ModelParams, config: ModelConfig):
-    """Encoder over the (N*H*W, in) cells; returns (cells, a1, h1, feat)."""
     cells = images.reshape(-1, config.in_channels)
     a1 = linear_forward(cells, params.enc_w1, params.enc_b1)
     h1 = relu_forward(a1)
     feat = linear_forward(h1, params.enc_w2, params.enc_b2)
     return cells, a1, h1, feat
-
-
-def encode(images, params: ModelParams, config: ModelConfig) -> Array:
-    """Per-cell two-layer transform, identical at every (h, w) location."""
-    images = _check_images(images, config)
-    feat = _encode_cells(images, params, config)[3]
-    return feat.reshape(images.shape[:3] + (config.feat_channels,))
 
 
 def _shared_forward(feat: Array, keep: Array, params: ModelParams,
@@ -288,9 +278,8 @@ def forward_train(images, ids, params: ModelParams, config: ModelConfig,
     all branch descriptor batches plus the per-branch mean cross entropies
     summed over branches.
     """
-    images = _check_images(images, config)
+    cells, a1, h1, feat = _encode_cells(images, params, config)
     ids = np.asarray(ids, dtype=np.int64)
-    n = images.shape[0]
 
     # trunk passes as (randomized mask or None, keep rows); the randomized
     # branch comes first, then the fixed rows
@@ -300,13 +289,11 @@ def forward_train(images, ids, params: ModelParams, config: ModelConfig,
             raise ConfigError("randomized drop scheme requires an rng")
         mask = dropmask.baseline_mask(
             config.drop_scheme, config.height, config.width,
-            config.feat_channels, rng, batch_size=n)
+            config.feat_channels, rng, batch_size=len(images))
         passes.append((mask.reshape(-1, config.feat_channels),
                        np.ones((1, config.height * config.width))))
     if config.keep_rows is not None:
         passes.append((None, config.keep_rows))
-
-    cells, a1, h1, feat = _encode_cells(images, params, config)
 
     pooled, caches = [], []
     for mask, rows in passes:
@@ -366,7 +353,7 @@ def infer(images, params: ModelParams, config: ModelConfig) -> Array:
     Raises NumericError when a descriptor is not finite (finite weights
     can still overflow).
     """
-    feat = encode(images, params, config).reshape(-1, config.feat_channels)
+    feat = _encode_cells(images, params, config)[3]
     keep = np.ones((1, config.height * config.width))
     pooled, _ = _shared_forward(feat, keep, params, config)
     descs = linear_forward(pooled[0], params.emb_w, params.emb_b)

@@ -43,8 +43,8 @@ class RetrievalSet:
         return self.descriptors.shape[0]
 
 
+# perfbench/test_perfbench.py builds its sets through it (ROADMAP item 6)
 QuerySet = RetrievalSet
-GallerySet = RetrievalSet
 
 
 @dataclass
@@ -63,7 +63,7 @@ class EvalMetrics:
         }
 
 
-def evaluate(query: QuerySet, gallery: GallerySet, ks=(1, 5, 10),
+def evaluate(query: RetrievalSet, gallery: RetrievalSet, ks=(1, 5, 10),
              dist: Array | None = None) -> EvalMetrics:
     """Rank the gallery per query by ascending squared distance and score it.
 

@@ -20,7 +20,8 @@ from elasticdrop.elastic_loss import (batch_elastic_loss,
                                       batch_hard_triplet_loss, elastic_weight,
                                       sq_dist_matrix)
 from elasticdrop.gradcheck import run_gradient_checks
-from elasticdrop.retrieval_eval import QuerySet, evaluate, k_reciprocal_rerank
+from elasticdrop.retrieval_eval import (RetrievalSet, evaluate,
+                                        k_reciprocal_rerank)
 
 
 def _report(num: int, ok: bool, elapsed: float, detail: str = "") -> None:
@@ -125,8 +126,8 @@ def test_criterion_5_metric_oracle_equivalence():
     for _ in range(200):
         q_desc, q_ids, q_cams, g_desc, g_ids, g_cams = \
             random_retrieval_instance(rng, max_n=30)
-        metrics = evaluate(QuerySet(q_desc, q_ids, q_cams),
-                           QuerySet(g_desc, g_ids, g_cams), ks=ks)
+        metrics = evaluate(RetrievalSet(q_desc, q_ids, q_cams),
+                           RetrievalSet(g_desc, g_ids, g_cams), ks=ks)
         ranks, m_ap, counted = naive_evaluate(q_desc, q_ids, q_cams,
                                               g_desc, g_ids, g_cams, ks)
         assert metrics.num_valid_queries == counted

@@ -25,7 +25,7 @@ from elasticdrop.cli import (EvalConfig, config_hash, load_run_config, main,
 from elasticdrop.data_synth import SynthConfig
 from elasticdrop.errors import ConfigError
 from elasticdrop.model import ModelConfig
-from elasticdrop.retrieval_eval import QuerySet
+from elasticdrop.retrieval_eval import RetrievalSet
 
 
 def micro_config(out_dir, **data_over):
@@ -44,7 +44,7 @@ def micro_config(out_dir, **data_over):
     }
 
 
-def write_embedding_csv(path, s: QuerySet) -> None:
+def write_embedding_csv(path, s: RetrievalSet) -> None:
     """The format ``eval --query-csv`` reads: a header, then id, camera and
     every descriptor float per row."""
     dim = s.descriptors.shape[1]
@@ -55,10 +55,35 @@ def write_embedding_csv(path, s: QuerySet) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def write_clustered_csvs(tmp_path) -> list[str]:
+    """Query and gallery CSVs of three well-separated ids, one query each on
+    camera 0 and two gallery rows each on camera 1; returns the eval flags."""
+    rng = np.random.default_rng(0)
+    centers = rng.normal(scale=3.0, size=(3, 4))
+    q = RetrievalSet(np.vstack([centers[i] + rng.normal(scale=0.1, size=4)
+                                for i in range(3)]),
+                     np.arange(3), np.zeros(3, dtype=int))
+    g = RetrievalSet(np.vstack([centers[i] + rng.normal(scale=0.1, size=4)
+                                for i in range(3) for _ in range(2)]),
+                     np.repeat(np.arange(3), 2), np.ones(6, dtype=int))
+    write_embedding_csv(tmp_path / "q.csv", q)
+    write_embedding_csv(tmp_path / "g.csv", g)
+    return ["--query-csv", str(tmp_path / "q.csv"),
+            "--gallery-csv", str(tmp_path / "g.csv")]
+
+
 def assert_one_config_error_line(capsys, fragment):
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1
     assert err.startswith("config error:") and fragment in err
+
+
+def package_env() -> dict:
+    """The environment with the tested package first on PYTHONPATH, for a
+    child interpreter."""
+    src = str(Path(importlib.import_module("elasticdrop").__file__).parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
 @pytest.fixture
@@ -476,23 +501,31 @@ class TestEvalCommand:
         assert "all" in doc and "config_hash" in doc
 
     def test_eval_embedding_csv(self, tmp_path, config_path, capsys):
-        rng = np.random.default_rng(0)
-        centers = rng.normal(scale=3.0, size=(3, 4))
-        q = QuerySet(np.vstack([centers[i] + rng.normal(scale=0.1, size=4)
-                                for i in range(3)]),
-                     np.arange(3), np.zeros(3, dtype=int))
-        g = QuerySet(np.vstack([centers[i] + rng.normal(scale=0.1, size=4)
-                                for i in range(3) for _ in range(2)]),
-                     np.repeat(np.arange(3), 2), np.ones(6, dtype=int))
-        write_embedding_csv(tmp_path / "q.csv", q)
-        write_embedding_csv(tmp_path / "g.csv", g)
         code = main(["eval", "--config", str(config_path),
-                     "--query-csv", str(tmp_path / "q.csv"),
-                     "--gallery-csv", str(tmp_path / "g.csv")])
+                     *write_clustered_csvs(tmp_path)])
         assert code == 0
         doc = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert doc["all"]["rank"]["1"] == 1.0
         assert doc["all"]["mAP"] == 1.0
+
+    @pytest.mark.parametrize("source", ["checkpoint", "csv"])
+    def test_out_writes_the_printed_metrics(self, tmp_path, config_path,
+                                            capsys, source):
+        if source == "checkpoint":
+            main(["train", "--config", str(config_path)])
+            inputs = ["--checkpoint", str(tmp_path / "run" / "checkpoint.json")]
+        else:
+            inputs = write_clustered_csvs(tmp_path)
+        capsys.readouterr()
+        out_dir = tmp_path / "eval_out"
+        assert main(["eval", "--config", str(config_path), *inputs,
+                     "--out", str(out_dir)]) == 0
+        printed = capsys.readouterr().out.splitlines()
+        assert len(printed) == 1
+        doc = json.loads(printed[0])
+        text = (out_dir / "metrics.json").read_text()
+        assert text == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        assert json.loads(text) == doc and "all" in doc
 
     def test_eval_with_rerank(self, tmp_path, capsys):
         doc = micro_config(tmp_path / "run")
@@ -769,6 +802,15 @@ class TestEvalCommand:
         assert_one_config_error_line(capsys, "checkpoint grid")
 
 
+class TestModuleEntryPoint:
+    def test_version(self):
+        done = subprocess.run(
+            [sys.executable, "-m", "elasticdrop", "--version"],
+            env=package_env(), capture_output=True, text=True)
+        assert done.returncode == 0
+        assert done.stdout == "0.1.0\n"
+
+
 class TestGradcheckCommand:
     def test_exit_zero_and_report(self, tmp_path, capsys):
         code = main(["gradcheck", "--out", str(tmp_path)])
@@ -936,6 +978,18 @@ class TestAblationCommands:
         assert code == 0
         rows = read_ablation(tmp_path / "run" / "ablation.csv")
         assert {r["variant"] for r in rows} == {"m_prime=1", "m_prime=2"}
+
+    def test_branches_grid_needs_uniform_scheme(self, tmp_path, capsys):
+        doc = micro_config(tmp_path / "run")
+        del doc["model"]["branches"]
+        doc["model"]["drop_scheme"] = {"kind": "overlap", "patch_h": 2,
+                                       "overlap": 1}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        assert main(["ablate-branches", "--config", str(path)]) == 1
+        assert_one_config_error_line(
+            capsys, "ablate-branches requires the uniform drop scheme")
+        assert not (tmp_path / "run" / "ablation.csv").exists()
 
     @pytest.mark.parametrize("command", ["ablate-branches", "ablate-components",
                                          "ablate-dropout"])
@@ -1183,15 +1237,10 @@ class TestMallocThresholds:
                 del arrays
             print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
             """)
-        src = str(Path(importlib.import_module("elasticdrop").__file__)
-                  .parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")]))}
-
         def faults(mode):
             done = subprocess.run([sys.executable, "-c", script, mode],
-                                  env=env, capture_output=True, text=True,
-                                  check=True)
+                                  env=package_env(), capture_output=True,
+                                  text=True, check=True)
             return int(done.stdout)
 
         assert faults("main") < faults("plain") / 10

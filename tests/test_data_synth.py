@@ -23,6 +23,20 @@ class TestSynthConfig:
         with pytest.raises(ConfigError):
             SynthConfig(occlusion_fraction=1.5)
 
+    @pytest.mark.parametrize("over, fragment", [
+        (dict(num_ids=0), ">= 1 id"),
+        (dict(samples_per_id=1), ">= 2 samples/id"),
+        (dict(num_cameras=0), ">= 1 camera"),
+        (dict(height=0), "dimensions must be positive"),
+        (dict(width=0), "dimensions must be positive"),
+        (dict(channels=0), "dimensions must be positive"),
+        (dict(part_count=0), "dimensions must be positive"),
+    ], ids=["num_ids", "samples_per_id", "num_cameras", "height", "width",
+            "channels", "part_count"])
+    def test_counts_and_dimensions(self, over, fragment):
+        with pytest.raises(ConfigError, match=fragment):
+            SynthConfig(**over)
+
 
 class TestGenerate:
     def test_noiseless_limit_identical_samples(self):
@@ -149,6 +163,11 @@ class TestPkBatches:
         ids = np.array([0, 0, 1, 1])
         with pytest.raises(ConfigError):
             pk_batches(ids, p=3, k=2, seed=0)
+
+    @pytest.mark.parametrize("p, k", [(0, 2), (2, 0), (-1, -1)])
+    def test_non_positive_p_or_k_rejected(self, p, k):
+        with pytest.raises(ConfigError, match="must be positive"):
+            pk_batches(np.repeat(np.arange(3), 2), p=p, k=k, seed=0)
 
     def test_insufficient_samples_rejected(self):
         ids = np.array([0, 1, 2])

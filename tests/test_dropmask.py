@@ -280,6 +280,14 @@ class TestBaselineMask:
         with pytest.raises(ConfigError):
             baseline_mask(UniformRowDrop(4), 8, 4, 2, self.rng)
 
+    @pytest.mark.parametrize("dims", [(0, 4, 2, 1), (8, 0, 2, 1), (8, 4, 0, 1),
+                                      (8, 4, 2, 0), (8, 4, 2, -1)])
+    def test_non_positive_dimension_rejected(self, dims):
+        height, width, channels, batch = dims
+        with pytest.raises(ConfigError, match="dimensions must be positive"):
+            baseline_mask(ElementDropout(0.25), height, width, channels,
+                          self.rng, batch_size=batch)
+
 
 class TestSchemeKinds:
     def test_every_scheme_has_a_case(self):

@@ -193,6 +193,11 @@ class TestBatchHardMine:
         assert hard.hardest_pos_index[0] == 1
         assert hard.hardest_neg_index[0] == 3
 
+    @pytest.mark.parametrize("shape", [(3, 4), (4, 3), (4,), (2, 4, 3)])
+    def test_dist_ids_mismatch_rejected(self, shape):
+        with pytest.raises(ShapeError, match="batch_hard_mine: dist"):
+            batch_hard_mine(np.zeros(shape), [0, 0, 1, 1])
+
     def test_matches_exhaustive_oracle(self):
         rng = np.random.default_rng(17)
         for _ in range(100):

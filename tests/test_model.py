@@ -21,11 +21,11 @@ from elasticdrop.errors import (ConfigError, DegenerateBatchError,
                                NumericError, ShapeError)
 from elasticdrop.gradcheck import MODEL_TOL, check_model_end_to_end, \
     model_variants
-from elasticdrop.model import (ModelConfig, _shared_backward, _shared_forward,
-                               config_from_dict, config_to_dict, encode,
-                               forward_train, infer, init_params,
-                               learning_rate, load_checkpoint, save_checkpoint,
-                               scheme_from_dict, train)
+from elasticdrop.model import (ModelConfig, _encode_cells, _shared_backward,
+                               _shared_forward, config_from_dict,
+                               config_to_dict, forward_train, infer,
+                               init_params, learning_rate, load_checkpoint,
+                               save_checkpoint, scheme_from_dict, train)
 from elasticdrop.numerics import (adam_step, linear_forward,
                                   softmax_cross_entropy)
 
@@ -45,6 +45,12 @@ def tiny_inputs(config, rng=None, n=4):
                               config.in_channels))
     ids = np.arange(n) % config.num_classes
     return images, ids
+
+
+def encode(images, params, config):
+    """The encoder's (N*H*W, C) cells as an (N, H, W, C) map."""
+    feat = _encode_cells(images, params, config)[3]
+    return feat.reshape(np.shape(images)[:3] + (config.feat_channels,))
 
 
 class TestEncode:
@@ -78,7 +84,7 @@ class TestEncode:
         config = tiny_config()
         params = init_params(config)
         with pytest.raises(ShapeError):
-            encode(np.zeros((2, 5, 2, 2)), params, config)
+            _encode_cells(np.zeros((2, 5, 2, 2)), params, config)
 
 
 def branch_ce_sum(out, params, ids):
@@ -535,6 +541,12 @@ class TestCheckpoint:
                                         *res, "emb_w", "emb_b", "cls_w",
                                         "cls_b"]
 
+    def test_malformed_json_rejected(self, tmp_path):
+        path = tmp_path / "ckpt.json"
+        path.write_text('{"format_version": 2,')
+        with pytest.raises(ConfigError, match="malformed json in checkpoint"):
+            load_checkpoint(path)
+
     def test_version_checked(self, tmp_path):
         path = tmp_path / "ckpt.json"
         path.write_text('{"format_version": 99}')
@@ -595,6 +607,19 @@ class TestConfigSerialization:
     ])
     def test_schedule_checked_on_construction(self, over):
         with pytest.raises(ConfigError):
+            tiny_config(**over)
+
+    @pytest.mark.parametrize("over, fragment", [
+        (dict(num_classes=1), "at least 2 classes"),
+        (dict(loss="softmax"), "loss must be one of"),
+        (dict(epochs=-1), "epochs must be non-negative"),
+        (dict(batch_p=1), "need batch_p >= 2"),
+        (dict(batch_k=1), "batch_k >= 2"),
+        (dict(keep_branches=0), "keep_branches must be >= 1"),
+    ], ids=["num_classes", "loss", "epochs", "batch_p", "batch_k",
+            "keep_branches"])
+    def test_field_checks_name_the_field(self, over, fragment):
+        with pytest.raises(ConfigError, match=fragment):
             tiny_config(**over)
 
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -65,6 +67,15 @@ class TestLinear:
         with pytest.raises(ShapeError):
             linear_backward(np.zeros((2, 3)), np.zeros((3, 4)), np.zeros((2, 5)))
 
+    @pytest.mark.parametrize("x, w, g, fragment", [
+        ((2, 3), (3, 4), (3, 4), "upstream (3, 4) does not conform to (2, 4)"),
+        ((2, 3), (2, 4), (2, 4), "input (2, 3) does not conform to weight"),
+        ((3,), (3, 4), (1, 4), "input (3,) does not conform to weight"),
+    ])
+    def test_backward_shape_messages(self, x, w, g, fragment):
+        with pytest.raises(ShapeError, match=re.escape(fragment)):
+            linear_backward(np.zeros(x), np.zeros(w), np.zeros(g))
+
 
 @st.composite
 def gate_cases(draw):
@@ -86,6 +97,11 @@ class TestRelu:
 
     def test_backward_gate(self):
         assert np.array_equal(relu_backward([-1.0, 2.0], [5.0, 5.0]), [0.0, 5.0])
+
+    def test_backward_shape_mismatch(self):
+        with pytest.raises(ShapeError,
+                           match=re.escape("x (3,) vs upstream (2,)")):
+            relu_backward(np.zeros(3), np.zeros(2))
 
     def test_backward_zero_subgradient(self):
         assert relu_backward([0.0], [9.0]) == [0.0]
@@ -152,6 +168,12 @@ class TestSoftmaxCrossEntropy:
                                                        match="finite"):
             softmax_cross_entropy([[1e308, -1e308], [0.0, 1.0]], [1, 0])
 
+    @pytest.mark.parametrize("logits, labels", [
+        ((2, 3), (3,)), ((2, 3), (2, 1)), ((3,), (3,)), ((1, 2, 3), (1,))])
+    def test_shape_mismatch_rejected(self, logits, labels):
+        with pytest.raises(ShapeError, match="softmax_cross_entropy: logits"):
+            softmax_cross_entropy(np.zeros(logits), np.zeros(labels, dtype=int))
+
     def test_label_out_of_range(self):
         with pytest.raises(ValueError, match="label"):
             softmax_cross_entropy([[0.0, 1.0]], [2])
@@ -200,6 +222,11 @@ class TestFiniteDiff:
     def test_non_finite_raises(self):
         with pytest.raises(NumericError):
             finite_diff_grad(lambda x: float("inf"), [1.0])
+
+    def test_max_rel_error_shape_mismatch(self):
+        with pytest.raises(ShapeError,
+                           match=re.escape("max_rel_error: (2,) vs (3,)")):
+            max_rel_error(np.zeros(2), np.zeros(3))
 
 
 class TestParamTensor:

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -12,14 +13,14 @@ from oracles import (dense_rerank, naive_evaluate, random_retrieval_instance,
 from elasticdrop import retrieval_eval
 from elasticdrop.elastic_loss import sq_dist_matrix
 from elasticdrop.errors import ConfigError, NumericError, ShapeError
-from elasticdrop.retrieval_eval import (EvalMetrics, GallerySet, QuerySet,
+from elasticdrop.retrieval_eval import (EvalMetrics, RetrievalSet,
                                         clamped_rerank_params, evaluate,
                                         k_reciprocal_rerank)
 
 
 def make_set(desc, ids, cams):
-    return QuerySet(descriptors=np.asarray(desc, dtype=float),
-                    ids=np.asarray(ids), cameras=np.asarray(cams))
+    return RetrievalSet(descriptors=np.asarray(desc, dtype=float),
+                        ids=np.asarray(ids), cameras=np.asarray(cams))
 
 
 class TestEvaluate:
@@ -125,8 +126,8 @@ class TestEvaluate:
     def test_empty_gallery_rejected(self):
         query = make_set([[0.0]], [1], [0])
         with pytest.raises(ConfigError):
-            evaluate(query, GallerySet(np.zeros((0, 1)), np.zeros(0, int),
-                                       np.zeros(0, int)), ks=[1])
+            evaluate(query, RetrievalSet(np.zeros((0, 1)), np.zeros(0, int),
+                                          np.zeros(0, int)), ks=[1])
 
     def test_dim_mismatch_rejected(self):
         query = make_set([[0.0, 1.0]], [1], [0])
@@ -141,6 +142,20 @@ class TestEvaluate:
         with np.errstate(over="ignore"), pytest.raises(NumericError,
                                                        match="finite"):
             evaluate(query, gallery, ks=(1,))
+
+    @pytest.mark.parametrize("ks", [[0], [1, 0], [-1]])
+    def test_non_positive_k_rejected(self, ks):
+        query = make_set([[0.0]], [1], [0])
+        gallery = make_set([[0.0]], [1], [1])
+        with pytest.raises(ConfigError, match="ks must be positive integers"):
+            evaluate(query, gallery, ks=ks)
+
+    @pytest.mark.parametrize("shape", [(1, 3), (2, 2), (2,), (3, 2)])
+    def test_wrong_shaped_given_distances_rejected(self, shape):
+        query = make_set([[0.0]], [1], [0])
+        gallery = make_set([[0.0], [1.0]], [2, 1], [1, 1])
+        with pytest.raises(ShapeError, match=re.escape("vs (1, 2)")):
+            evaluate(query, gallery, ks=(1,), dist=np.zeros(shape))
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_non_finite_given_distances_rejected(self, bad):
@@ -206,6 +221,12 @@ class TestKReciprocalRerank:
             k_reciprocal_rerank(q_g, q_q, g_g, k1=5, k2=2)
         with pytest.raises(ConfigError):
             k_reciprocal_rerank(q_g, q_q, g_g, k1=2, k2=5)
+
+    @pytest.mark.parametrize("lam", [-0.1, 1.5, float("nan")])
+    def test_lambda_outside_unit_interval_rejected(self, lam):
+        q_g, q_q, g_g = np.zeros((2, 3)), np.zeros((2, 2)), np.zeros((3, 3))
+        with pytest.raises(ConfigError, match=re.escape("outside [0, 1]")):
+            k_reciprocal_rerank(q_g, q_q, g_g, k1=2, k2=1, lambda_value=lam)
 
     def test_inconsistent_blocks_rejected(self):
         with pytest.raises(ShapeError):
@@ -373,11 +394,12 @@ class TestClampedParams:
 class TestRetrievalSet:
     def test_shape_validation(self):
         with pytest.raises(ShapeError):
-            QuerySet(np.zeros((2, 3)), np.zeros(3, int), np.zeros(2, int))
+            RetrievalSet(np.zeros((2, 3)), np.zeros(3, int), np.zeros(2, int))
 
     def test_finite_validation(self):
         with pytest.raises(ValueError):
-            QuerySet(np.array([[np.nan]]), np.zeros(1, int), np.zeros(1, int))
+            RetrievalSet(np.array([[np.nan]]), np.zeros(1, int),
+                         np.zeros(1, int))
 
 
 class TestEvalMetrics:
