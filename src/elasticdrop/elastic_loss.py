@@ -25,6 +25,12 @@ the valid (anchor, branch) units. ``weighting`` is one of:
 A single batch is the case B = 1. The loss comes with its (B, N, D)
 gradient; all gradients are analytic and verified against the
 finite-difference oracle.
+
+One kernel, ``_sq_dists``, computes every squared distance, for the loss
+and for evaluation: the loss passes its whole (B, N, D) stack in one call,
+and ``sq_dist_matrix``, the 2-d function evaluation and re-ranking use, is
+its B = 1 case. The gradient's scatter to anchors and their mined pairs is
+one ``np.bincount`` over the stack.
 """
 
 from __future__ import annotations
@@ -55,46 +61,60 @@ class HardPairs:
     valid: np.ndarray
 
 
-# Output bytes per row block of ``sq_dist_matrix``: the block and its
-# scratch stay in L2 while every feature passes over them.
+# Output bytes per row block of ``_sq_dists``, across the whole stack: the
+# block and its scratch stay in L2 while every feature passes over them.
 _SQ_DIST_BLOCK_BYTES = 256 * 1024
+
+
+def _sq_dists(a: Array, b: Array) -> Array:
+    """Squared euclidean distances of (B, n, D) against (B, m, D) float64
+    stacks, set by set: the (B, n, m) kernel behind every distance here.
+
+    The result is filled in blocks of rows of ``a``, each about
+    ``_SQ_DIST_BLOCK_BYTES`` of output over all B sets (at least one row).
+    Within a block the features go in index order: one preallocated scratch
+    block takes ``t = a[k, i, d] - b[k, j, d]``, then ``t * t``, which is
+    added to the block. So every distance is ``((0 + s_0) + s_1) + ... +
+    s_(D-1)``, the same operations in the same order as a naive per-pair
+    loop, and bit-identical to it; only the memory traffic changes, since no
+    (B, n, m) temporary is allocated per feature. A GEMM identity
+    ``|a|^2 + |b|^2 - 2 a.b`` or a reduction over a stacked difference would
+    round differently.
+
+    Raises NumericError when a distance is not finite: finite descriptors
+    can overflow, and an infinite distance ties in any ranking or mining.
+    """
+    sets, n, m = a.shape[0], a.shape[1], b.shape[1]
+    out = np.zeros((sets, n, m))
+    # (D, B, n, 1) and (D, B, 1, m) views: one feature per leading index
+    a_cols = a.transpose(2, 0, 1)[..., None]
+    b_cols = np.ascontiguousarray(b.transpose(2, 0, 1))[:, :, None]
+    rows = max(1, _SQ_DIST_BLOCK_BYTES // (out.itemsize * max(sets * m, 1)))
+    scratch = np.empty((sets, min(rows, n), m))
+    for start in range(0, n, rows):
+        block = out[:, start:start + rows]
+        tmp = scratch[:, :block.shape[1]]
+        for a_d, b_d in zip(a_cols[:, :, start:start + rows], b_cols):
+            np.subtract(a_d, b_d, out=tmp)
+            np.multiply(tmp, tmp, out=tmp)
+            block += tmp
+    if not np.isfinite(out).all():
+        raise NumericError("squared distances must be finite")
+    return out
 
 
 def sq_dist_matrix(a, b) -> Array:
     """Squared euclidean distances between (n, D) and (m, D) descriptor sets.
 
-    The (n, m) result is filled in blocks of rows of ``a``, each about
-    ``_SQ_DIST_BLOCK_BYTES`` of output (at least one row). Within a block the
-    features go in index order: one preallocated scratch block takes
-    ``t = a[i, d] - b[j, d]``, then ``t * t``, which is added to the block.
-    So every distance is ``((0 + s_0) + s_1) + ... + s_(D-1)``, the same
-    operations in the same order as a naive per-pair loop, and bit-identical
-    to it; only the memory traffic changes, since no (n, m) temporary is
-    allocated per feature. A GEMM identity ``|a|^2 + |b|^2 - 2 a.b`` or a
-    reduction over a stacked (D, rows, m) difference would round differently.
-
-    Raises NumericError when a distance is not finite: finite descriptors
-    can overflow, and an infinite distance ties in any ranking or mining.
+    The (n, m) result is ``_sq_dists`` over a stack of one set, so it is
+    bit-identical to a naive per-pair loop, and it raises NumericError when
+    a distance overflows to infinity.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
         raise ShapeError(f"sq_dist_matrix: {a.shape} vs {b.shape}")
-    n, m = a.shape[0], b.shape[0]
-    out = np.zeros((n, m))
-    b_t = np.ascontiguousarray(b.T)
-    rows = max(1, _SQ_DIST_BLOCK_BYTES // (out.itemsize * max(m, 1)))
-    scratch = np.empty((min(rows, n), m))
-    for start in range(0, n, rows):
-        block = out[start:start + rows]
-        tmp = scratch[:block.shape[0]]
-        for d in range(a.shape[1]):
-            np.subtract(a[start:start + rows, d, None], b_t[d], out=tmp)
-            np.multiply(tmp, tmp, out=tmp)
-            block += tmp
-    if not np.isfinite(out).all():
-        raise NumericError("sq_dist_matrix: squared distances must be finite")
-    return out
+    return _sq_dists(a[None], b[None])[0]
 
 
 def batch_hard_mine(dist, ids) -> HardPairs:
@@ -171,8 +191,8 @@ def batch_elastic_loss(vectors, ids, eta: float = 3.0, weighting="sigmoid",
     if named and weighting not in ("sigmoid", "detached"):
         raise ValueError(f"batch_elastic_loss: unknown weighting {weighting!r}")
 
-    # one distance function for training and evaluation
-    dist = np.stack([sq_dist_matrix(v, v) for v in vectors])
+    # every branch in one call of the kernel that evaluation shares
+    dist = _sq_dists(vectors, vectors)
     hard = batch_hard_mine(dist, ids)
     total_valid = int(hard.valid.sum())
     if total_valid == 0:
@@ -216,9 +236,21 @@ def batch_elastic_loss(vectors, ids, eta: float = 3.0, weighting="sigmoid",
     neg = d_mn[br, a, None] * (2.0 * (vectors[br, a] - vectors[br, q]))
     rows = np.stack([a, p, q], axis=1) + n * br[:, None]
     updates = np.stack([pos + neg, -pos, -neg], axis=1)
-    grads = np.zeros((b * n, dim))
-    np.add.at(grads, rows.reshape(-1), updates.reshape(-1, dim))
+    grads = _scatter_rows(rows.reshape(-1), updates.reshape(-1, dim), b * n)
     return loss, grads.reshape(b, n, dim)
+
+
+def _scatter_rows(rows: np.ndarray, updates: Array, count: int) -> Array:
+    """Sum the (K, D) ``updates`` into ``count`` rows, update k into row
+    ``rows[k]``. One ``np.bincount`` over the flat element indices adds
+    each element's updates in input order, starting from 0.0, as
+    ``np.add.at`` into zeros does."""
+    dim = updates.shape[1]
+    flat = (rows[:, None] * dim + np.arange(dim)).reshape(-1)
+    out = np.bincount(flat, weights=updates.reshape(-1),
+                      minlength=count * dim)
+    # with no update the weights are empty, and bincount counts in int64
+    return out.astype(np.float64, copy=False).reshape(count, dim)
 
 
 # no caller in the package: perfbench/spans.py wraps it by name

@@ -10,6 +10,14 @@ metric loss over all branch descriptor batches plus the sum of per-branch
 cross entropies; inference is the mask-free path
 encoder -> resblock -> pool -> embed, nothing else.
 
+Head. A step keeps the branches' pooled maps as one (B, N, C) stack. The
+embedding and classifier forwards each run once over its B*N rows, the
+metric loss takes the (B, N, D) descriptors in one call, and one cross
+entropy takes the (B, N, classes) logits; every float matches per-branch
+calls. The head's backward stays per branch and adds the weight gradients
+in branch order, since one product over all B*N rows would add them in
+another order.
+
 Shared trunk. The residual layer acts on each cell alone, and a fixed mask
 (the consecutive and overlapping row schedules, ``none``, the global branch)
 drops the same cells for every sample. A dropped cell enters the layer as
@@ -299,21 +307,27 @@ def forward_train(images, ids, params: ModelParams, config: ModelConfig,
     for mask, rows in passes:
         p, cache = _shared_forward(feat if mask is None else feat * mask, rows,
                                    params, config)
-        pooled.extend(p)
+        pooled.append(p)
         caches.append(cache)
-    descs = [linear_forward(p, params.emb_w, params.emb_b) for p in pooled]
+    pooled = np.concatenate(pooled)
+    branches, n, channels = pooled.shape
+    # the head's forwards run once over all B*N rows: a row's product does
+    # not depend on the rows beside it, so each matches a per-branch call
+    descs = linear_forward(pooled.reshape(-1, channels), params.emb_w,
+                           params.emb_b).reshape(branches, n, -1)
+    logits = linear_forward(descs.reshape(branches * n, -1), params.cls_w,
+                            params.cls_b).reshape(branches, n, -1)
 
     stats = {}
     metric_loss, metric_grads = batch_elastic_loss(
-        np.stack(descs), ids, config.eta, metric_weighting(config), stats)
+        descs, ids, config.eta, metric_weighting(config), stats)
+    ce_total, d_logits = softmax_cross_entropy(logits, ids)
 
-    # each branch's classifier, cross entropy and head backward, in order
-    ce_total, d_pooled = 0.0, []
-    for p, desc, d_desc in zip(pooled, descs, metric_grads):
-        ce, d_logits = softmax_cross_entropy(
-            linear_forward(desc, params.cls_w, params.cls_b), ids)
-        ce_total += ce
-        gd, gw, gb = linear_backward(desc, params.cls_w, d_logits)
+    # each branch's head backward, in branch order: one (B*N)-row weight
+    # gradient would sum over branches in another order
+    d_pooled = []
+    for p, desc, d_desc, d_lg in zip(pooled, descs, metric_grads, d_logits):
+        gd, gw, gb = linear_backward(desc, params.cls_w, d_lg)
         params.cls_w.grad += gw
         params.cls_b.grad += gb
         d, gw, gb = linear_backward(p, params.emb_w, d_desc + gd)
@@ -338,7 +352,7 @@ def forward_train(images, ids, params: ModelParams, config: ModelConfig,
     params.enc_b1.grad += gb
 
     return ForwardOutput(
-        branch_descriptors=descs,
+        branch_descriptors=list(descs),
         metric_weights=stats["weights"],
         elastic_loss=metric_loss,
         ce_loss=ce_total,

@@ -115,27 +115,38 @@ def relu_backward(x, upstream_grad) -> Array:
 def softmax_cross_entropy(logits, labels) -> tuple[float, Array]:
     """Mean negative log softmax probability of the true class.
 
-    Stabilized by per-row max subtraction. Returns the scalar loss and its
-    gradient w.r.t. the logits, (softmax - onehot) / N.
+    ``logits`` is (N, C), or a (..., N, C) stack of batches that share the N
+    ``labels``. Stabilized by per-row max subtraction. Returns the scalar
+    loss and its gradient w.r.t. the logits, (softmax - onehot) / N per
+    batch. A stack's loss is the sum of its batch means, added left to
+    right from 0.0 as a loop over 2-d calls would add them.
     """
     logits = np.asarray(logits, dtype=np.float64)
     labels = np.asarray(labels)
-    if logits.ndim != 2 or labels.shape != (logits.shape[0],):
+    if logits.ndim < 2 or labels.shape != (logits.shape[-2],):
         raise ShapeError(
             f"softmax_cross_entropy: logits {logits.shape} vs labels {labels.shape}")
     labels = labels.astype(np.int64)
-    n, c = logits.shape
+    n, c = logits.shape[-2:]
     if labels.size and (labels.min() < 0 or labels.max() >= c):
         raise ValueError(f"softmax_cross_entropy: label outside [0, {c})")
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    log_z = np.log(np.exp(shifted).sum(axis=1))
-    log_probs = shifted - log_z[:, None]
-    loss = float(-log_probs[np.arange(n), labels].mean())
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    log_z = np.log(np.exp(shifted).sum(axis=-1))
+    log_probs = shifted - log_z[..., None]
+    # contiguous rows, so that each batch's mean sums in the order of a 2-d call
+    losses = -np.ascontiguousarray(log_probs[..., np.arange(n), labels]).mean(
+        axis=-1)
+    if logits.ndim == 2:
+        loss = float(losses)
+    else:
+        loss = 0.0
+        for batch_loss in losses.reshape(-1):
+            loss += float(batch_loss)
     # finite logits spanning more than the float range overflow in the shift
     if not math.isfinite(loss):
         raise NumericError("softmax_cross_entropy: the loss must be finite")
     grad = np.exp(log_probs)
-    grad[np.arange(n), labels] -= 1.0
+    grad[..., np.arange(n), labels] -= 1.0
     grad /= n
     return loss, grad
 

@@ -5,8 +5,10 @@ python loops and sets, independent of the package's vectorized code paths.
 The training-step oracle ``naive_forward_train`` keeps the straightforward
 branch-by-branch network path (mask, resblock, pool and backward once per
 branch) that ``model.forward_train`` factors through one shared resblock
-pass, and ``dense_rerank`` keeps the dense-V re-ranking that
-``retrieval_eval.k_reciprocal_rerank`` computes on sparse rows.
+pass, ``dense_rerank`` keeps the dense-V re-ranking that
+``retrieval_eval.k_reciprocal_rerank`` computes on sparse rows, and
+``add_at_scatter`` keeps the ``np.add.at`` form of the metric loss's
+gradient scatter.
 """
 
 import math
@@ -120,6 +122,14 @@ def naive_metric_loss(branch_vectors, ids, eta, weighting):
                 grad[q][d] -= d_mn * neg
         grads.append(grad)
     return total / units, [g / units for g in grads]
+
+
+def add_at_scatter(rows, updates, count) -> np.ndarray:
+    """``elastic_loss._scatter_rows`` as ``np.add.at`` into zero rows: each
+    row sums its updates in input order."""
+    out = np.zeros((count, np.shape(updates)[1]))
+    np.add.at(out, rows, updates)
+    return out
 
 
 def mined_weights(vectors, ids) -> np.ndarray:

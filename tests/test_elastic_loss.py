@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from oracles import (mined_weights, naive_cross_sq_dist, naive_hard_mine,
-                     naive_metric_loss, naive_pairwise_sq_dist)
+from oracles import (add_at_scatter, mined_weights, naive_cross_sq_dist,
+                     naive_hard_mine, naive_metric_loss, naive_pairwise_sq_dist)
 
 from elasticdrop import elastic_loss
 from elasticdrop.elastic_loss import (batch_elastic_loss, batch_hard_mine,
@@ -161,6 +161,108 @@ class TestSqDistBlocks:
             else:
                 with pytest.raises(NumericError, match="finite"):
                     sq_dist_matrix(a, b)
+
+
+@st.composite
+def stacked_sets(draw):
+    """(B, n, D) descriptors at one drawn scale, and a block size in bytes
+    from one row of the whole stack up."""
+    b, n, dim = draw(st.integers(1, 5)), draw(st.integers(2, 40)), \
+        draw(st.integers(1, 70))
+    scale = draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    vectors = np.random.default_rng(seed).normal(size=(b, n, dim)) * scale
+    return vectors, draw(st.integers(1, 50)) * 8 * b * n
+
+
+class TestStackedSqDists:
+    """The (B, n, m) kernel against one ``sq_dist_matrix`` call per set."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @given(stacked_sets())
+    def test_matches_per_set_calls(self, case):
+        vectors, block_bytes = case
+        want = np.stack([sq_dist_matrix(v, v) for v in vectors])
+        got = elastic_loss._sq_dists(vectors, vectors)
+        assert got.tobytes() == want.tobytes()
+        with mock.patch.object(elastic_loss, "_SQ_DIST_BLOCK_BYTES",
+                               block_bytes):
+            blocked = elastic_loss._sq_dists(vectors, vectors)
+        assert blocked.tobytes() == want.tobytes()
+
+    def test_unequal_sets(self):
+        rng = np.random.default_rng(13)
+        a, b = rng.normal(size=(3, 7, 9)), rng.normal(size=(3, 5, 9))
+        got = elastic_loss._sq_dists(a, b)
+        assert got.shape == (3, 7, 5)
+        for k in range(3):
+            assert np.array_equal(got[k], naive_cross_sq_dist(a[k], b[k]))
+
+    @pytest.mark.parametrize("value, overflows", [(9e153, False),
+                                                  (1e154, True)])
+    def test_loss_raises_on_overflow(self, value, overflows):
+        # every squared difference is finite; only the middle branch's sum
+        # over its two features passes the float maximum
+        vectors = np.zeros((3, 4, 2))
+        vectors[:, 1] = 1.0
+        vectors[:, 3] = 2.0
+        vectors[1, 2] = value
+        ids = np.array([0, 0, 1, 1])
+        with np.errstate(over="ignore"):
+            if overflows:
+                with pytest.raises(NumericError,
+                                   match="squared distances must be finite"):
+                    batch_elastic_loss(vectors, ids)
+            else:
+                assert np.isfinite(batch_elastic_loss(vectors, ids)[0])
+
+
+@st.composite
+def shared_hard_rows(draw):
+    """(B, N, D) descriptors and N ids in which one row of each branch is
+    the hardest positive or negative of several anchors: a far member of
+    id 0 for its mates, and a member of id 1 near every id-0 anchor."""
+    k, dim = draw(st.integers(3, 6)), draw(st.integers(1, 9))
+    others = draw(st.integers(2, 5))
+    b = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    ids = np.concatenate([np.zeros(k, int), np.ones(others, int)])
+    vectors = rng.normal(size=(b, k + others, dim))
+    vectors[:, k - 1] += 20.0  # id 0's far member
+    vectors[:, k] = vectors[:, :k - 1].mean(axis=1) + 0.01  # id 1's near one
+    weighting = draw(st.sampled_from(["sigmoid", "detached", 1.0]))
+    return vectors, ids, weighting
+
+
+class TestGradientScatter:
+    """The bincount scatter against ``np.add.at``, bit for bit."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    @given(shared_hard_rows())
+    def test_matches_add_at(self, case):
+        vectors, ids, weighting = case
+        calls = []
+
+        def recording(rows, updates, count):
+            out = scatter(rows, updates, count)
+            calls.append((rows, updates, count, out))
+            return out
+
+        scatter = elastic_loss._scatter_rows
+        with mock.patch.object(elastic_loss, "_scatter_rows", recording):
+            _, grads = batch_elastic_loss(vectors, ids, 3.0, weighting)
+        (rows, updates, count, out), = calls
+        # some row takes updates from more than one anchor
+        assert np.bincount(rows).max() > 2
+        assert out.tobytes() == add_at_scatter(rows, updates, count).tobytes()
+        assert grads.tobytes() == out.reshape(vectors.shape).tobytes()
+
+    @pytest.mark.parametrize("count, dim", [(4, 3), (0, 2), (3, 0)])
+    def test_no_updates_gives_float_zeros(self, count, dim):
+        out = elastic_loss._scatter_rows(np.zeros(0, np.intp),
+                                         np.zeros((0, dim)), count)
+        assert out.dtype == np.float64 and out.shape == (count, dim)
+        assert not out.any()
 
 
 class TestBatchHardMine:

@@ -26,7 +26,7 @@ from elasticdrop.model import (ModelConfig, _encode_cells, _shared_backward,
                                config_to_dict, forward_train, infer,
                                init_params, learning_rate, load_checkpoint,
                                save_checkpoint, scheme_from_dict, train)
-from elasticdrop.numerics import (adam_step, linear_forward,
+from elasticdrop.numerics import (adam_step, init_linear, linear_forward,
                                   softmax_cross_entropy)
 
 
@@ -420,6 +420,29 @@ class TestTrunkContractions:
             else:
                 assert np.max(np.abs(new - old), initial=0.0) <= \
                     TestSharedTrunkOracle.TOL
+
+
+class TestStackedHead:
+    """``forward_train`` runs each head layer once over the B*N rows of all
+    branches; ``naive_forward_train`` keeps one call per branch. The two
+    agree only if BLAS gives a row the same floats whatever the number of
+    rows in the call. From two rows up numpy hands every call to gemm; one
+    row goes to a vector product that may sum in another order, but a step
+    has at least two samples, since the metric loss needs them."""
+
+    # (in, out): criterion 7's embedding and classifier, then the defaults'
+    WIDTHS = [(64, 32), (32, 30), (32, 16), (16, 30)]
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=50)
+    @given(st.sampled_from(WIDTHS), st.integers(1, 5), st.integers(2, 64),
+           st.integers(0, 2 ** 32 - 1))
+    def test_rows_match_per_branch_calls(self, widths, branches, n, seed):
+        rng = np.random.default_rng(seed)
+        w, b = init_linear(rng, *widths)
+        x = rng.normal(size=(branches, n, widths[0]))
+        stacked = linear_forward(x.reshape(-1, widths[0]), w, b)
+        per_branch = np.stack([linear_forward(xb, w, b) for xb in x])
+        assert stacked.tobytes() == per_branch.tobytes()
 
 
 class TestInfer:

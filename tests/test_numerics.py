@@ -179,6 +179,76 @@ class TestSoftmaxCrossEntropy:
             softmax_cross_entropy([[0.0, 1.0]], [2])
 
 
+def per_batch_cross_entropy(logits, labels):
+    """B 2-d calls: their losses summed left to right from 0.0, and the
+    stacked gradients."""
+    total, grads = 0.0, []
+    for batch in logits:
+        loss, grad = softmax_cross_entropy(batch, labels)
+        total += loss
+        grads.append(grad)
+    return total, np.stack(grads)
+
+
+@st.composite
+def stacked_logits(draw):
+    """(B, N, C) logits at one drawn scale, and N labels."""
+    b, n, c = draw(st.integers(1, 5)), draw(st.integers(1, 40)), \
+        draw(st.integers(2, 40))
+    scale = draw(st.sampled_from([1e-3, 1.0, 30.0, 1e3]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return rng.normal(size=(b, n, c)) * scale, rng.integers(0, c, size=n)
+
+
+class TestStackedSoftmaxCrossEntropy:
+    """(B, N, C) logits against B 2-d calls, bit for bit."""
+
+    def assert_matches_per_batch(self, logits, labels):
+        loss, grad = softmax_cross_entropy(logits, labels)
+        want_loss, want_grad = per_batch_cross_entropy(logits, labels)
+        assert loss == want_loss
+        assert grad.shape == logits.shape
+        assert grad.tobytes() == want_grad.tobytes()
+
+    def test_training_labels(self):
+        # a training step's PK labels at (4, 32, 30): numpy's mean over the
+        # strided (B, N) pick of these logits, not a contiguous copy, sums
+        # in another order than a 2-d call and moves this loss
+        logits = np.random.default_rng(5).normal(size=(4, 32, 30))
+        self.assert_matches_per_batch(logits, np.repeat(np.arange(8), 4))
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(stacked_logits())
+    def test_matches_per_batch_property(self, case):
+        self.assert_matches_per_batch(*case)
+
+    def test_two_leading_axes(self):
+        rng = np.random.default_rng(2)
+        logits = rng.normal(size=(2, 3, 9, 5))
+        labels = rng.integers(0, 5, size=9)
+        loss, grad = softmax_cross_entropy(logits, labels)
+        want_loss, want_grad = per_batch_cross_entropy(
+            logits.reshape(6, 9, 5), labels)
+        assert loss == want_loss
+        assert grad.tobytes() == want_grad.reshape(2, 3, 9, 5).tobytes()
+
+    def test_grad_matches_finite_differences(self):
+        rng = np.random.default_rng(13)
+        logits = rng.normal(size=(3, 6, 4))
+        labels = rng.integers(0, 4, size=6)
+        _, grad = softmax_cross_entropy(logits, labels)
+        fd = finite_diff_grad(lambda t: softmax_cross_entropy(t, labels)[0],
+                              logits)
+        assert max_rel_error(grad, fd) < 1e-6
+
+    def test_rejects_overflowing_batch(self):
+        logits = np.zeros((3, 2, 2))
+        logits[1, 0] = [1e308, -1e308]
+        with np.errstate(over="ignore"), pytest.raises(NumericError,
+                                                       match="finite"):
+            softmax_cross_entropy(logits, [1, 0])
+
+
 class TestAdam:
     def test_zero_grad_leaves_value(self):
         p = ParamTensor.of([1.0, -2.0])
