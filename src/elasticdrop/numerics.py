@@ -136,12 +136,10 @@ def softmax_cross_entropy(logits, labels) -> tuple[float, Array]:
     # contiguous rows, so that each batch's mean sums in the order of a 2-d call
     losses = -np.ascontiguousarray(log_probs[..., np.arange(n), labels]).mean(
         axis=-1)
-    if logits.ndim == 2:
-        loss = float(losses)
-    else:
-        loss = 0.0
-        for batch_loss in losses.reshape(-1):
-            loss += float(batch_loss)
+    # a Python loop, not np.sum or math.fsum, keeps the left-to-right order
+    loss = 0.0
+    for batch_loss in losses.reshape(-1):
+        loss += float(batch_loss)
     # finite logits spanning more than the float range overflow in the shift
     if not math.isfinite(loss):
         raise NumericError("softmax_cross_entropy: the loss must be finite")
