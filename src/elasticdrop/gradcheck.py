@@ -145,8 +145,8 @@ def check_model_end_to_end(seed=0, trials=10, config: ModelConfig | None = None
                     return out.total_loss
                 # a detached-weight step differentiates the loss with
                 # every weight frozen at its value in the step
-                metric, _ = batch_elastic_loss(np.stack(out.branch_descriptors),
-                                               ids, config.eta, weights)
+                metric, _ = batch_elastic_loss(out.branch_descriptors, ids,
+                                               config.eta, weights)
                 return metric + out.ce_loss
 
             fd = finite_diff_grad(loss_of, p.value)

@@ -38,9 +38,10 @@ band sums ``(B, H W) @ (N, H W, C)`` and the per-cell fold
 ``(H W, B) @ (N, B, C)``. With one partial keep row, or a feature width
 that is not a multiple of 8, BLAS may order those sums otherwise than
 cell by cell, which moves the last bits. Inference is this path
-with one all-ones keep row, the global branch. The fixed keep rows are
-the config's branch plan (``ModelConfig.keep_rows``), built once when the
-config is; every step reads that one copy. The randomized baselines
+with one all-ones keep row, the global branch, run in training-batch
+blocks. The fixed keep rows are the config's branch plan
+(``ModelConfig.keep_rows``), built once when the config is; every step
+reads that one copy. The randomized baselines
 draw per-sample, per-channel masks: their branch multiplies the encoder
 cells by the mask, runs the same trunk with one all-ones keep row, and
 multiplies the trunk's encoder grad by the mask again.
@@ -182,8 +183,8 @@ class ModelParams:
 
 @dataclass
 class ForwardOutput:
-    # with the global branch on, its descriptor is the last one
-    branch_descriptors: list[Array]
+    # (B, N, D); with the global branch on, its descriptors come last
+    branch_descriptors: Array
     # the (B, N) weights the metric loss used
     metric_weights: Array
     elastic_loss: float
@@ -352,7 +353,7 @@ def forward_train(images, ids, params: ModelParams, config: ModelConfig,
     params.enc_b1.grad += gb
 
     return ForwardOutput(
-        branch_descriptors=list(descs),
+        branch_descriptors=descs,
         metric_weights=stats["weights"],
         elastic_loss=metric_loss,
         ce_loss=ce_total,
@@ -363,14 +364,28 @@ def forward_train(images, ids, params: ModelParams, config: ModelConfig,
 def infer(images, params: ModelParams, config: ModelConfig) -> Array:
     """Mask-free descriptors: encoder -> resblock -> average pool -> embed.
 
-    The global branch's path: the shared trunk with one all-ones keep row.
-    Raises NumericError when a descriptor is not finite (finite weights
-    can still overflow).
+    The global branch's path: the shared trunk with one all-ones keep row,
+    run in blocks of one training batch (batch_p * batch_k samples) into
+    one (N, embed_dim) output, so no other array grows with N. A one-sample
+    tail joins the block before it: numpy sends a one-row product to a
+    vector kernel that may round otherwise than a one-pass call. Raises
+    NumericError when a descriptor is not finite (finite weights can still
+    overflow).
     """
-    feat = _encode_cells(images, params, config)[3]
+    images = np.asarray(images, dtype=np.float64)
+    n = len(images) if images.ndim else 0
+    block = config.batch_p * config.batch_k
+    descs = np.empty((n, config.embed_dim))
     keep = np.ones((1, config.height * config.width))
-    pooled, _ = _shared_forward(feat, keep, params, config)
-    descs = linear_forward(pooled[0], params.emb_w, params.emb_b)
+    # at least one block, so that an empty or 0-d input is shape-checked
+    # too; the last block runs to n, taking a one-sample rest with it
+    for start in range(0, max(n - 1, 1), block):
+        stop = start + block if n - start - block > 1 else n
+        feat = _encode_cells(images[start:stop] if n else images, params,
+                             config)[3]
+        pooled, _ = _shared_forward(feat, keep, params, config)
+        descs[start:stop] = linear_forward(pooled[0], params.emb_w,
+                                           params.emb_b)
     if not np.isfinite(descs).all():
         raise NumericError("infer: descriptors must be finite")
     return descs

@@ -6,9 +6,10 @@ The training-step oracle ``naive_forward_train`` keeps the straightforward
 branch-by-branch network path (mask, resblock, pool and backward once per
 branch) that ``model.forward_train`` factors through one shared resblock
 pass, ``dense_rerank`` keeps the dense-V re-ranking that
-``retrieval_eval.k_reciprocal_rerank`` computes on sparse rows, and
+``retrieval_eval.k_reciprocal_rerank`` computes on sparse rows,
 ``add_at_scatter`` keeps the ``np.add.at`` form of the metric loss's
-gradient scatter.
+gradient scatter, and ``oneshot_infer`` keeps the one pass over every image
+that ``model.infer`` runs in training-batch blocks.
 """
 
 import math
@@ -18,7 +19,8 @@ import numpy as np
 from elasticdrop import dropmask
 from elasticdrop.elastic_loss import (batch_elastic_loss, batch_hard_mine,
                                       elastic_weight, sq_dist_matrix)
-from elasticdrop.model import metric_weighting
+from elasticdrop.errors import NumericError
+from elasticdrop.model import _encode_cells, _shared_forward, metric_weighting
 from elasticdrop.numerics import (linear_backward, linear_forward,
                                   relu_forward, softmax_cross_entropy)
 
@@ -366,6 +368,18 @@ def einsum_shared_backward(d_pooled, cache, params, config):
     d_dropped = cache["dropped_count"] @ d_cells.sum(axis=1)
     params.res_b.grad += gb + np.where(params.res_b.value > 0.0, d_dropped, 0.0)
     return d_feat + d_y
+
+
+def oneshot_infer(images, params, config):
+    """``model.infer`` as one encoder, resblock and embedding pass over all
+    the images at once."""
+    feat = _encode_cells(images, params, config)[3]
+    keep = np.ones((1, config.height * config.width))
+    pooled, _ = _shared_forward(feat, keep, params, config)
+    descs = linear_forward(pooled[0], params.emb_w, params.emb_b)
+    if not np.isfinite(descs).all():
+        raise NumericError("infer: descriptors must be finite")
+    return descs
 
 
 def _naive_branch_forward(fmap, mask, params, config):

@@ -1,6 +1,7 @@
 import copy
 import itertools
 import json
+import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
@@ -10,8 +11,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from oracles import (einsum_shared_backward, einsum_shared_forward,
-                     mined_weights, naive_forward_train)
+                     mined_weights, naive_forward_train, oneshot_infer)
 
+from elasticdrop import model as model_module
 from elasticdrop.data_synth import SynthConfig, generate
 from elasticdrop.dropmask import (BatchDropBlock, BatchDropout, DropBlock,
                                   ElementDropout, NoDrop, OverlapRowDrop,
@@ -108,7 +110,7 @@ class TestForwardTrain:
         assert np.array_equal(out.branch_descriptors[0],
                               infer(images, params, config))
         # total decomposes into one elastic term plus one cross entropy
-        elastic, _ = batch_elastic_loss(np.stack(out.branch_descriptors), ids,
+        elastic, _ = batch_elastic_loss(out.branch_descriptors, ids,
                                         config.eta)
         ce = branch_ce_sum(out, params, ids)
         assert out.ce_loss == ce
@@ -465,6 +467,104 @@ class TestInfer:
         assert params.res_w is None
         images, _ = tiny_inputs(config)
         assert infer(images, params, config).shape == (4, 2)
+
+    def test_empty_input(self):
+        config = tiny_config()
+        params = init_params(config)
+        images = np.zeros((0, config.height, config.width, config.in_channels))
+        assert infer(images, params, config).shape == (0, config.embed_dim)
+
+    @pytest.mark.parametrize("shape", [(0, 5, 2, 2), (), (9, 4, 2), (9, 4, 2, 3)],
+                             ids=["empty", "scalar", "3d", "channels"])
+    def test_shape_mismatch(self, shape):
+        config = tiny_config()
+        with pytest.raises(ShapeError):
+            infer(np.zeros(shape), init_params(config), config)
+
+
+# criterion 7's widths on the default 8x4x6 grid: blocks of 32 samples
+INFER_CONFIGS = {
+    "criterion7": ModelConfig(feat_channels=64, embed_dim=32),
+    "tiny": tiny_config(),
+    "tiny_no_resblock": tiny_config(use_resblock=False),
+}
+
+
+class TestBlockedInfer:
+    """``infer`` runs one training batch (batch_p * batch_k samples) at a
+    time; ``oneshot_infer`` in tests/oracles.py keeps the one pass over all
+    samples. They agree bit for bit only if BLAS gives a row the same floats
+    whatever the rows beside it, and if no block has one sample: numpy
+    hands a one-row product to a vector kernel."""
+
+    @staticmethod
+    def set_sizes(block):
+        # the last two leave a one-sample tail that joins the block before
+        return [1, 2, block - 1, block, block + 1, 2 * block + 1,
+                3 * block + 5]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("name", sorted(INFER_CONFIGS))
+    def test_matches_oneshot(self, name, seed):
+        config = INFER_CONFIGS[name]
+        rng = np.random.default_rng(seed)
+        params = init_params(config, rng)
+        for n in self.set_sizes(config.batch_p * config.batch_k):
+            images = rng.normal(size=(n, config.height, config.width,
+                                      config.in_channels))
+            blocked = infer(images, params, config)
+            assert blocked.shape == (n, config.embed_dim)
+            assert np.array_equal(blocked, oneshot_infer(images, params, config))
+
+    @pytest.mark.parametrize("n, blocks", [
+        (0, [0]), (1, [1]), (3, [3]), (4, [4]), (5, [5]), (8, [4, 4]),
+        (9, [4, 5]), (10, [4, 4, 2]), (13, [4, 4, 5]), (17, [4, 4, 4, 5])])
+    def test_block_sizes(self, monkeypatch, n, blocks):
+        config = tiny_config()  # blocks of 2 * 2 samples
+        params = init_params(config)
+        rows = []
+
+        def recording(x, w, b):
+            if w is params.emb_w:
+                rows.append(len(x))
+            return linear_forward(x, w, b)
+
+        monkeypatch.setattr(model_module, "linear_forward", recording)
+        images, _ = tiny_inputs(config, n=n)
+        infer(images, params, config)
+        assert rows == blocks
+
+    def test_later_block_overflow_raises(self):
+        config = tiny_config()
+        block = config.batch_p * config.batch_k
+        params = init_params(config)
+        images, _ = tiny_inputs(config, n=2 * block + 1)
+        # finite pixels whose products overflow with these weights, in the
+        # last of the blocks [4, 5] only
+        images[-1] = -1e308
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert np.isfinite(infer(images[:block], params, config)).all()
+            for run in (infer, oneshot_infer):
+                with pytest.raises(NumericError, match="finite"):
+                    run(images, params, config)
+
+    def test_peak_memory_does_not_grow_with_set_size(self):
+        config = INFER_CONFIGS["criterion7"]
+        block = config.batch_p * config.batch_k
+        params = init_params(config)
+        images = np.random.default_rng(0).normal(
+            size=(8 * block, config.height, config.width, config.in_channels))
+        infer(images[:block], params, config)  # warm-up
+        peaks = []
+        for n in (block, 8 * block):
+            tracemalloc.start()
+            try:
+                infer(images[:n], params, config)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # a one-shot pass peaks about 8x higher over 8 blocks than over one
+        assert peaks[1] < 2 * peaks[0]
 
 
 class TestLearningRate:
