@@ -11,12 +11,14 @@ cross entropies; inference is the mask-free path
 encoder -> resblock -> pool -> embed, nothing else.
 
 Head. A step keeps the branches' pooled maps as one (B, N, C) stack. The
-embedding and classifier forwards each run once over its B*N rows, the
-metric loss takes the (B, N, D) descriptors in one call, and one cross
-entropy takes the (B, N, classes) logits; every float matches per-branch
-calls. The head's backward stays per branch and adds the weight gradients
-in branch order, since one product over all B*N rows would add them in
-another order.
+embedding and classifier each run one forward and one backward over its
+B*N rows, the metric loss takes the (B, N, D) descriptors in one call, and
+one cross entropy takes the (B, N, classes) logits. Every forward float
+matches per-branch calls, and so does every input gradient unless BLAS
+picks another kernel for the B*N rows than for N (a transposed weight of
+64 x 32 switches at 19 rows); with two or more branches the head's weight
+and bias gradients sum all B*N rows in one product, not branch by branch,
+which moves their last bits.
 
 Shared trunk. The residual layer acts on each cell alone, and a fixed mask
 (the consecutive and overlapping row schedules, ``none``, the global branch)
@@ -311,31 +313,28 @@ def forward_train(images, ids, params: ModelParams, config: ModelConfig,
         pooled.append(p)
         caches.append(cache)
     pooled = np.concatenate(pooled)
-    branches, n, channels = pooled.shape
-    # the head's forwards run once over all B*N rows: a row's product does
-    # not depend on the rows beside it, so each matches a per-branch call
-    descs = linear_forward(pooled.reshape(-1, channels), params.emb_w,
-                           params.emb_b).reshape(branches, n, -1)
-    logits = linear_forward(descs.reshape(branches * n, -1), params.cls_w,
-                            params.cls_b).reshape(branches, n, -1)
+    # the head runs once over all B*N rows, both ways (see the module
+    # docstring for which floats match per-branch calls)
+    flat_pooled = pooled.reshape(-1, pooled.shape[2])
+    flat_descs = linear_forward(flat_pooled, params.emb_w, params.emb_b)
+    logits = linear_forward(flat_descs, params.cls_w, params.cls_b)
+    descs = flat_descs.reshape(pooled.shape[:2] + (-1,))
 
     stats = {}
     metric_loss, metric_grads = batch_elastic_loss(
         descs, ids, config.eta, metric_weighting(config), stats)
-    ce_total, d_logits = softmax_cross_entropy(logits, ids)
+    ce_total, d_logits = softmax_cross_entropy(
+        logits.reshape(pooled.shape[:2] + (-1,)), ids)
 
-    # each branch's head backward, in branch order: one (B*N)-row weight
-    # gradient would sum over branches in another order
-    d_pooled = []
-    for p, desc, d_desc, d_lg in zip(pooled, descs, metric_grads, d_logits):
-        gd, gw, gb = linear_backward(desc, params.cls_w, d_lg)
-        params.cls_w.grad += gw
-        params.cls_b.grad += gb
-        d, gw, gb = linear_backward(p, params.emb_w, d_desc + gd)
-        params.emb_w.grad += gw
-        params.emb_b.grad += gb
-        d_pooled.append(d)
-    d_pooled = np.stack(d_pooled)
+    d_desc, gw, gb = linear_backward(flat_descs, params.cls_w,
+                                     d_logits.reshape(logits.shape))
+    params.cls_w.grad += gw
+    params.cls_b.grad += gb
+    d_pooled, gw, gb = linear_backward(
+        flat_pooled, params.emb_w, metric_grads.reshape(d_desc.shape) + d_desc)
+    params.emb_w.grad += gw
+    params.emb_b.grad += gb
+    d_pooled = d_pooled.reshape(pooled.shape)
     d_feat, start = None, 0
     for (mask, rows), cache in zip(passes, caches):
         d = _shared_backward(d_pooled[start:start + len(rows)], cache, params,
@@ -411,9 +410,9 @@ def train(samples: list[Sample], config: ModelConfig
     if not samples:
         raise ConfigError("train: empty dataset")
     images, ids, _ = stack_images(samples)
-    if ids.max() >= config.num_classes:
-        raise ConfigError(
-            f"train: id {ids.max()} outside num_classes={config.num_classes}")
+    if ids.min() < 0 or ids.max() >= config.num_classes:
+        raise ConfigError(f"train: ids span [{ids.min()}, {ids.max()}], "
+                          f"outside num_classes={config.num_classes}")
     params = init_params(config, np.random.default_rng([config.seed, 0]))
     mask_rng = np.random.default_rng([config.seed, 1])
     log: list[dict] = []

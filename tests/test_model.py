@@ -28,8 +28,8 @@ from elasticdrop.model import (ModelConfig, _encode_cells, _shared_backward,
                                config_to_dict, forward_train, infer,
                                init_params, learning_rate, load_checkpoint,
                                save_checkpoint, scheme_from_dict, train)
-from elasticdrop.numerics import (adam_step, init_linear, linear_forward,
-                                  softmax_cross_entropy)
+from elasticdrop.numerics import (adam_step, init_linear, linear_backward,
+                                  linear_forward, softmax_cross_entropy)
 
 
 def tiny_config(**over):
@@ -320,8 +320,10 @@ def run_against_oracle(config, seed):
 class TestSharedTrunkOracle:
     """forward_train against the per-branch path kept in tests/oracles.py."""
 
-    # the shared trunk reorders the pooled sums, so floats move in the last bits
+    # the shared trunk reorders the pooled sums, and the head's weight grads
+    # sum all branches' rows in one product, so floats move in the last bits
     TOL = 1e-12
+    HEAD = ("emb_w", "emb_b", "cls_w", "cls_b")
 
     @pytest.mark.parametrize("name", sorted(SHARED_TRUNK_VARIANTS))
     def test_fixed_masks_match(self, name):
@@ -352,7 +354,12 @@ class TestSharedTrunkOracle:
                 for d, r in descs:
                     assert np.array_equal(d, r), case
                 for param, (g, r) in grads.items():
-                    assert np.array_equal(g, r), f"{case} {param}"
+                    # with the global branch the head sees two branches
+                    if global_branch and param in self.HEAD:
+                        assert np.max(np.abs(g - r)) <= self.TOL, \
+                            f"{case} {param}"
+                    else:
+                        assert np.array_equal(g, r), f"{case} {param}"
 
 
 @st.composite
@@ -425,15 +432,31 @@ class TestTrunkContractions:
 
 
 class TestStackedHead:
-    """``forward_train`` runs each head layer once over the B*N rows of all
-    branches; ``naive_forward_train`` keeps one call per branch. The two
-    agree only if BLAS gives a row the same floats whatever the number of
-    rows in the call. From two rows up numpy hands every call to gemm; one
-    row goes to a vector product that may sum in another order, but a step
-    has at least two samples, since the metric loss needs them."""
+    """``forward_train`` runs each head layer's forward and backward once
+    over the B*N rows of all branches; ``naive_forward_train`` keeps one call
+    per branch. Outputs and input grads agree only if BLAS gives a row the
+    same floats whatever the number of rows in the call. From two rows up
+    numpy hands every call to gemm; one row goes to a vector product that
+    may sum in another order, but a step has at least two samples, since
+    the metric loss needs them. The weight and bias grads sum all B*N rows
+    in one product, not branch by branch, so they agree bit for bit with
+    one branch only."""
 
     # (in, out): criterion 7's embedding and classifier, then the defaults'
     WIDTHS = [(64, 32), (32, 30), (32, 16), (16, 30)]
+
+    # the bound of every float that may not match bit for bit
+    TOL = 1e-12
+
+    @staticmethod
+    def input_grads_exact(widths, branches, n):
+        """Whether the input grad ``g @ w.T`` over B*N rows rounds as B calls
+        of N rows do, on OpenBLAS 0.3.31's Haswell kernels (numpy 2.4): a
+        product with a transposed right operand picks its kernel by size,
+        and for criterion 7's embedding, (64, 32), a call of 18 rows or
+        fewer rounds otherwise than one of 19 or more. A training batch of
+        criterion 7 has 32 rows, so its steps stay exact."""
+        return widths != (64, 32) or n >= 19 or branches * n <= 18
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=50)
     @given(st.sampled_from(WIDTHS), st.integers(1, 5), st.integers(2, 64),
@@ -445,6 +468,34 @@ class TestStackedHead:
         stacked = linear_forward(x.reshape(-1, widths[0]), w, b)
         per_branch = np.stack([linear_forward(xb, w, b) for xb in x])
         assert stacked.tobytes() == per_branch.tobytes()
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=50)
+    @given(st.sampled_from(WIDTHS), st.integers(1, 5), st.integers(2, 64),
+           st.integers(0, 2 ** 32 - 1))
+    def test_backward_matches_per_branch_calls(self, widths, branches, n,
+                                                seed):
+        rng = np.random.default_rng(seed)
+        w, _ = init_linear(rng, *widths)
+        x = rng.normal(size=(branches, n, widths[0]))
+        g = rng.normal(size=(branches, n, widths[1]))
+        dx, gw, gb = linear_backward(x.reshape(-1, widths[0]), w,
+                                     g.reshape(-1, widths[1]))
+        # the per-branch calls, their weight grads added in branch order
+        ref_dx, ref_gw, ref_gb = [], np.zeros(widths), np.zeros(widths[1])
+        for xb, g_b in zip(x, g):
+            d, w_b, b_b = linear_backward(xb, w, g_b)
+            ref_dx.append(d)
+            ref_gw += w_b
+            ref_gb += b_b
+        ref_dx = np.concatenate(ref_dx)
+        if self.input_grads_exact(widths, branches, n):
+            assert dx.tobytes() == ref_dx.tobytes()
+        assert np.max(np.abs(dx - ref_dx)) <= self.TOL
+        if branches == 1:
+            assert gw.tobytes() == ref_gw.tobytes()
+            assert gb.tobytes() == ref_gb.tobytes()
+        assert np.max(np.abs(gw - ref_gw)) <= self.TOL
+        assert np.max(np.abs(gb - ref_gb)) <= self.TOL
 
 
 class TestInfer:
@@ -642,6 +693,14 @@ class TestTrain:
         ds = tiny_dataset(num_ids=4)
         with pytest.raises(ConfigError):
             train(ds.train, tiny_config(num_classes=2))
+
+    def test_negative_id_rejected(self):
+        # id -1 fills batches, so it would reach the cross entropy's bare
+        # ValueError
+        ds = tiny_dataset(num_ids=4)
+        ds.train = [replace(s, id=-1) if s.id == 0 else s for s in ds.train]
+        with pytest.raises(ConfigError, match=r"span \[-1, 3\]"):
+            train(ds.train, tiny_config(num_classes=4))
 
 
 class TestCheckpoint:
