@@ -7,7 +7,8 @@ branch-by-branch network path (mask, resblock, pool and backward once per
 branch) that ``model.forward_train`` factors through one shared resblock
 pass, ``dense_rerank`` keeps the dense-V re-ranking that
 ``retrieval_eval.k_reciprocal_rerank`` computes on sparse rows,
-``add_at_scatter`` keeps the ``np.add.at`` form of the metric loss's
+``loop_rerank`` keeps its per-point form (a Python pass per point or query
+where the package runs block passes), ``add_at_scatter`` keeps the ``np.add.at`` form of the metric loss's
 gradient scatter, and ``oneshot_infer`` keeps the one pass over every image
 that ``model.infer`` runs in training-batch blocks.
 """
@@ -304,6 +305,107 @@ def dense_rerank(q_g, q_q, g_g, k1=20, k2=6, lambda_value=0.3):
         jaccard[i] = 1.0 - np.divide(mins, maxs, out=np.zeros(ng), where=maxs > 0)
 
     return lambda_value * q_g + (1.0 - lambda_value) * jaccard
+
+
+def _partial_rank(norm, m):
+    """The first ``m`` columns of ``np.argsort(norm, axis=1, kind="stable")``.
+
+    Each row keeps the entries at or below its m-th smallest value, in index
+    order, and sorts them stably by value; ``argpartition``'s own order is
+    never used, since it breaks ties differently.
+    """
+    kth = np.partition(norm, m - 1, axis=1)[:, m - 1]
+    rank = np.empty((len(norm), m), dtype=np.int64)
+    for i, row in enumerate(norm):
+        # "not above" rather than "at or below" keeps nan, as the full sort does
+        cand = np.flatnonzero(~(row > kth[i]))
+        rank[i] = cand[np.argsort(row[cand], kind="stable")[:m]]
+    return rank
+
+
+def _reciprocal_sets(rank, k):
+    """Per point i, the j among i's top-(k+1) whose own top-(k+1) holds i."""
+    forward = rank[:, :k + 1]
+    mutual = (rank[forward, :k + 1]
+              == np.arange(len(rank))[:, None, None]).any(axis=2)
+    return [set(f[keep].tolist()) for f, keep in zip(forward, mutual)]
+
+
+def _expanded_row(i, norm_row, recip, recip_half):
+    """Sparse V row of point i: sorted columns and normalized exp(-dist)."""
+    base = recip[i]
+    expanded = base | {i}
+    for c in base:
+        cand = recip_half[c]
+        if cand and len(cand & base) > (2.0 / 3.0) * len(cand):
+            expanded |= cand
+    idx = np.fromiter(sorted(expanded), dtype=np.int64, count=len(expanded))
+    weights = np.exp(-norm_row[idx])
+    return idx, weights / weights.sum()
+
+
+def _mean_row(rows, neighbors):
+    """Mean of sparse rows, summing each column in neighbor order."""
+    cols, inverse = np.unique(np.concatenate([rows[j][0] for j in neighbors]),
+                              return_inverse=True)
+    sums = np.bincount(inverse, weights=np.concatenate([rows[j][1] for j in neighbors]),
+                       minlength=cols.size)
+    return cols, sums / len(neighbors)
+
+
+def loop_rerank(q_g, q_q, g_g, k1=20, k2=6, lambda_value=0.3):
+    """The per-point form of ``retrieval_eval.k_reciprocal_rerank``.
+
+    The same steps with one Python pass per point or query: a row loop of
+    argsorts for the ranks, Python sets for the reciprocal expansion, one
+    ``np.unique`` and ``np.bincount`` per point for the query expansion and
+    one inverted-index lookup per query for the Jaccard distance. Every sum
+    runs in the same order as the block passes, so the two agree bit for
+    bit. The pooled matrix is built whole; inputs are assumed valid.
+    """
+    q_g = np.asarray(q_g, dtype=np.float64)
+    q_q = np.asarray(q_q, dtype=np.float64)
+    g_g = np.asarray(g_g, dtype=np.float64)
+    nq, ng = q_g.shape
+    total = nq + ng
+
+    norm = np.block([[q_q, q_g], [q_g.T, g_g]])
+    peak = norm.max()
+    if peak > 0:
+        norm /= peak
+    rank = _partial_rank(norm, max(k1 + 1, k2))
+
+    half = max(1, int(np.rint(k1 / 2.0)))
+    recip = _reciprocal_sets(rank, k1)
+    recip_half = _reciprocal_sets(rank, half)
+    rows = [_expanded_row(i, norm[i], recip, recip_half) for i in range(total)]
+    if k2 > 1:
+        rows = [_mean_row(rows, rank[i, :k2]) for i in range(total)]
+
+    # inverted index: gallery nonzeros as (column, gallery row, value),
+    # sorted by column, with each column's start offset
+    g_cols = np.concatenate([cols for cols, _ in rows[nq:]])
+    by_col = np.argsort(g_cols, kind="stable")
+    g_rows = np.repeat(np.arange(ng), [cols.size for cols, _ in rows[nq:]])[by_col]
+    g_vals = np.concatenate([vals for _, vals in rows[nq:]])[by_col]
+    starts = np.searchsorted(g_cols[by_col], np.arange(total + 1))
+    g_sums = np.array([vals.sum() for _, vals in rows[nq:]])
+
+    out = np.empty((nq, ng))
+    for i in range(nq):
+        cols, vals = rows[i]
+        lo = starts[cols]
+        counts = starts[cols + 1] - lo
+        # index entries of row i's columns: one run of counts[t] from lo[t]
+        hit = np.arange(counts.sum()) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
+        mins = np.bincount(g_rows[hit], minlength=ng,
+                           weights=np.minimum(np.repeat(vals, counts), g_vals[hit]))
+        maxs = vals.sum() + g_sums - mins
+        jaccard = 1.0 - np.divide(mins, maxs, out=np.zeros(ng), where=maxs > 0)
+        # lambda * q_g + (1 - lambda) * jaccard: the same two products and sum
+        out[i] = (1.0 - lambda_value) * jaccard
+        out[i] += lambda_value * q_g[i]
+    return out
 
 
 def nearest_neighbor_id_accuracy(query_images, query_ids, ref_images, ref_ids):
