@@ -218,16 +218,17 @@ def cmd_train(args) -> int:
 
 
 def _load_embedding_csv(path) -> RetrievalSet:
-    """CSV rows: id, camera, then the descriptor floats (header optional).
+    """CSV rows: id, camera, then the descriptor floats. Blank lines and
+    headers (first field ``id``) are skipped; messages name the file's line.
 
     id and camera are int64 integers; every row must carry the same number
     (at least one) of finite floats.
     """
-    text = read_text(path, "embedding csv").strip().splitlines()
+    text = read_text(path, "embedding csv").split("\n")
     ids, cameras, rows = [], [], []
     for lineno, line in enumerate(text, start=1):
         parts = [p.strip() for p in line.split(",")]
-        if parts[0] == "id":
+        if not line.strip() or parts[0] == "id":
             continue
         try:
             ids.append(int(parts[0]))

@@ -40,6 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateBatchError, NumericError, ShapeError
+from .numerics import sum_in_order
 
 Array = np.ndarray
 
@@ -148,10 +149,9 @@ _BELOW_ONE = np.nextafter(1.0, 0.0)
 
 
 def elastic_weight(max_pos, min_neg):
-    """Weight w = sigmoid(max_pos / (min_neg + 1)) and the ratio itself.
-
-    Returns (delta, w); w always lies in [1/2, 1) for non-negative finite
-    inputs. Elementwise over arrays; scalars give np.float64 scalars.
+    """Weight w = sigmoid(max_pos / (min_neg + 1)), in [1/2, 1) for
+    non-negative finite inputs. Elementwise over arrays; scalars give
+    np.float64 scalars.
     """
     mp = np.asarray(max_pos, dtype=np.float64)
     mn = np.asarray(min_neg, dtype=np.float64)
@@ -162,8 +162,7 @@ def elastic_weight(max_pos, min_neg):
     delta = mp / (mn + 1.0)
     # clamped below 1: float64's sigmoid saturates for delta above ~37, but
     # the weight's open upper bound must survive in the returned value
-    w = np.minimum(1.0 / (1.0 + np.exp(-delta)), _BELOW_ONE)
-    return delta, w
+    return np.minimum(1.0 / (1.0 + np.exp(-delta)), _BELOW_ONE)
 
 
 def batch_elastic_loss(vectors, ids, eta: float = 3.0, weighting="sigmoid",
@@ -200,7 +199,7 @@ def batch_elastic_loss(vectors, ids, eta: float = 3.0, weighting="sigmoid",
             "no (anchor, branch) unit has both a positive and a negative")
     mp, mn = hard.max_pos_dist, hard.min_neg_dist
     if named:
-        w = elastic_weight(mp, mn)[1]
+        w = elastic_weight(mp, mn)
     else:
         w = np.broadcast_to(np.asarray(weighting, dtype=np.float64), mp.shape)
         if not np.all(np.isfinite(w)):
@@ -213,7 +212,7 @@ def batch_elastic_loss(vectors, ids, eta: float = 3.0, weighting="sigmoid",
     hinge = np.where(active, raw, 0.0)
     # each branch's anchors sum first, then the branch sums left to right
     row_sums = np.where(hard.valid, w * hinge, 0.0).sum(axis=1)
-    loss = float(np.cumsum(row_sums)[-1]) / total_valid
+    loss = sum_in_order(row_sums) / total_valid
     # finite hinges can still overflow in their sum (eta near the float max)
     if not np.isfinite(loss):
         raise NumericError("batch_elastic_loss: the loss must be finite")

@@ -142,7 +142,7 @@ def check_model_end_to_end(seed=0, trials=10, config: ModelConfig | None = None
                 finally:
                     p.value = old
                 if not detached:
-                    return out.total_loss
+                    return out.elastic_loss + out.ce_loss
                 # a detached-weight step differentiates the loss with
                 # every weight frozen at its value in the step
                 metric, _ = batch_elastic_loss(out.branch_descriptors, ids,

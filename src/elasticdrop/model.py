@@ -191,7 +191,6 @@ class ForwardOutput:
     metric_weights: Array
     elastic_loss: float
     ce_loss: float
-    total_loss: float
 
 
 def init_params(config: ModelConfig, rng: np.random.Generator | None = None
@@ -356,7 +355,6 @@ def forward_train(images, ids, params: ModelParams, config: ModelConfig,
         metric_weights=stats["weights"],
         elastic_loss=metric_loss,
         ce_loss=ce_total,
-        total_loss=metric_loss + ce_total,
     )
 
 
@@ -426,7 +424,8 @@ def train(samples: list[Sample], config: ModelConfig
                                 rng=mask_rng)
             for p in params.named().values():
                 adam_step(p, lr)
-            sums += (out.elastic_loss, out.ce_loss, out.total_loss)
+            sums += (out.elastic_loss, out.ce_loss,
+                     out.elastic_loss + out.ce_loss)
         k = len(batches)
         log.append({"epoch": epoch, "lr": lr,
                     "elastic_loss": float(sums[0] / k),

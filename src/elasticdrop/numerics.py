@@ -112,6 +112,15 @@ def relu_backward(x, upstream_grad) -> Array:
     return g * (x > 0.0)
 
 
+def sum_in_order(values) -> float:
+    """The floats of ``values`` added left to right from 0.0, as a loop adds
+    them; the builtin ``sum`` compensates their rounding from Python 3.12."""
+    total = 0.0
+    for value in np.ravel(values).tolist():
+        total += value
+    return total
+
+
 def softmax_cross_entropy(logits, labels) -> tuple[float, Array]:
     """Mean negative log softmax probability of the true class.
 
@@ -136,10 +145,7 @@ def softmax_cross_entropy(logits, labels) -> tuple[float, Array]:
     # contiguous rows, so that each batch's mean sums in the order of a 2-d call
     losses = -np.ascontiguousarray(log_probs[..., np.arange(n), labels]).mean(
         axis=-1)
-    # a Python loop, not np.sum or math.fsum, keeps the left-to-right order
-    loss = 0.0
-    for batch_loss in losses.reshape(-1):
-        loss += float(batch_loss)
+    loss = sum_in_order(losses)
     # finite logits spanning more than the float range overflow in the shift
     if not math.isfinite(loss):
         raise NumericError("softmax_cross_entropy: the loss must be finite")

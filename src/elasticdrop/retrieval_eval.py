@@ -15,6 +15,7 @@ import numpy as np
 
 from .elastic_loss import sq_dist_matrix
 from .errors import ConfigError, NumericError, ShapeError
+from .numerics import sum_in_order
 
 Array = np.ndarray
 
@@ -100,8 +101,7 @@ def evaluate(query: RetrievalSet, gallery: RetrievalSet, ks=(1, 5, 10),
         counted += 1
         hit_pos = np.flatnonzero(match)
         precisions = (np.arange(hit_pos.size) + 1.0) / (hit_pos + 1.0)
-        # sequential summation keeps AP bit-identical to a plain loop
-        ap_sum += sum(precisions.tolist()) / hit_pos.size
+        ap_sum += sum_in_order(precisions) / hit_pos.size
         for k in ks:
             if match[:k].any():
                 hits[k] += 1

@@ -140,7 +140,7 @@ def mined_weights(vectors, ids) -> np.ndarray:
     mined a second time, apart from the loss."""
     hard = batch_hard_mine(np.stack([sq_dist_matrix(v, v) for v in vectors]),
                            ids)
-    return elastic_weight(hard.max_pos_dist, hard.min_neg_dist)[1]
+    return elastic_weight(hard.max_pos_dist, hard.min_neg_dist)
 
 
 def naive_evaluate(q_desc, q_ids, q_cams, g_desc, g_ids, g_cams, ks,

@@ -37,7 +37,7 @@ def test_criterion_1_weight_bound():
                               rng.exponential(10.0, n // 2)])
     min_neg = np.concatenate([rng.uniform(0.0, 50.0, n // 2),
                               rng.exponential(10.0, n // 2)])
-    _, w = elastic_weight(max_pos, min_neg)
+    w = elastic_weight(max_pos, min_neg)
     violations = int(((w < 0.5) | (w >= 1.0)).sum())
     elapsed = time.perf_counter() - start
     ok = violations == 0 and elapsed < 1.0

@@ -595,6 +595,14 @@ class TestEvalCommand:
         assert code == 1
         assert_one_config_error_line(capsys, "non-finite")
 
+    def test_blank_lines_keep_file_line_numbers(self, tmp_path, config_path,
+                                                capsys):
+        code = self._eval_csv(tmp_path, config_path,
+                              "\n\nid,camera,f0,f1\n0,0,0.1,0.2\n\n"
+                              "1,0,nan,0.3\n")
+        assert code == 1
+        assert_one_config_error_line(capsys, "q.csv line 6")
+
     @pytest.mark.parametrize("query, gallery, where", [
         # as float64, id 2**63 equals gallery id 2**63 + 1 and matched it
         ("9223372036854775808,0,1.0\n-1,0,5.0\n",

@@ -375,16 +375,14 @@ class TestHardTripletLoss:
 
 class TestElasticWeight:
     def test_zero_max_pos(self):
-        delta, w = elastic_weight(0.0, 17.0)
-        assert delta == 0.0 and w == 0.5
+        assert elastic_weight(0.0, 17.0) == 0.5
 
     def test_frozen_value(self):
-        delta, w = elastic_weight(2.0, 1.0)
-        assert delta == 1.0
+        w = elastic_weight(2.0, 1.0)
         assert w == pytest.approx(0.7310585786300049, abs=1e-15)
 
     def test_asymptote_below_one(self):
-        _, w = elastic_weight(1e12, 0.5)
+        w = elastic_weight(1e12, 0.5)
         assert 0.5 <= w < 1.0
         assert w > 0.999999
 
@@ -392,19 +390,19 @@ class TestElasticWeight:
         rng = np.random.default_rng(0)
         mp = rng.uniform(0.0, 100.0, size=100_000)
         mn = rng.uniform(0.0, 100.0, size=100_000)
-        _, w = elastic_weight(mp, mn)
+        w = elastic_weight(mp, mn)
         assert (w >= 0.5).all() and (w < 1.0).all()
 
     def test_monotonic_in_max_pos(self):
         mps = np.linspace(0.0, 20.0, 50)
         for mn in (0.0, 1.0, 5.0):
-            _, ws = elastic_weight(mps, np.full_like(mps, mn))
+            ws = elastic_weight(mps, np.full_like(mps, mn))
             assert (np.diff(ws) > 0).all()
 
     def test_monotonic_in_min_neg(self):
         mns = np.linspace(0.0, 20.0, 50)
         for mp in (0.5, 2.0, 10.0):
-            _, ws = elastic_weight(np.full_like(mns, mp), mns)
+            ws = elastic_weight(np.full_like(mns, mp), mns)
             assert (np.diff(ws) < 0).all()
 
     def test_negative_input_rejected(self):

@@ -114,7 +114,8 @@ class TestForwardTrain:
                                         config.eta)
         ce = branch_ce_sum(out, params, ids)
         assert out.ce_loss == ce
-        assert out.total_loss == pytest.approx(elastic + ce, abs=1e-12)
+        assert out.elastic_loss + out.ce_loss == pytest.approx(elastic + ce,
+                                                            abs=1e-12)
 
     @pytest.mark.parametrize("over, branches", [
         ({}, 2), (dict(use_global_branch=True), 3),
@@ -153,11 +154,11 @@ class TestForwardTrain:
             assert desc.shape == (4, 512)
 
     def test_additivity(self):
-        config = tiny_config()
-        params = init_params(config)
-        images, ids = tiny_inputs(config)
-        out = forward_train(images, ids, params, config)
-        assert out.total_loss == out.elastic_loss + out.ce_loss
+        # train logs each step's total as its metric loss plus its CE
+        _, log = train(tiny_dataset().train, tiny_config(num_classes=4))
+        for row in log:
+            assert row["total_loss"] == pytest.approx(
+                row["elastic_loss"] + row["ce_loss"], rel=1e-12)
 
     def test_branch_count_with_global(self):
         config = tiny_config(use_global_branch=True)
@@ -250,7 +251,7 @@ class TestForwardTrain:
             forward_train(images, ids, params, config)
         out = forward_train(images, ids, params, config,
                             rng=np.random.default_rng(0))
-        assert np.isfinite(out.total_loss)
+        assert np.isfinite(out.elastic_loss + out.ce_loss)
 
     @pytest.mark.parametrize("over", [
         {}, dict(detach_weight=True), dict(loss="triplet"),
@@ -314,7 +315,7 @@ def run_against_oracle(config, seed):
     assert len(out.branch_descriptors) == len(ref_descs)
     grads = {name: (p.grad, ref.named()[name].grad)
              for name, p in params.named().items()}
-    return (out.total_loss, ref_total), list(zip(out.branch_descriptors, ref_descs)), grads
+    return (out.elastic_loss + out.ce_loss, ref_total), list(zip(out.branch_descriptors, ref_descs)), grads
 
 
 class TestSharedTrunkOracle:
