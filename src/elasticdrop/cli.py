@@ -303,7 +303,7 @@ def _args_hash(**kwargs) -> str:
 
 
 def cmd_gradcheck(args) -> int:
-    seed = args.seed or 0
+    seed = args.seed
     if seed < 0:
         raise ConfigError(f"gradcheck: seed must be non-negative, got {seed}")
     if args.out:

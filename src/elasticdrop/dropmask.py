@@ -1,10 +1,11 @@
 """Deterministic row-band drop schedules plus randomized dropout baselines.
 
-The consecutive schedule partitions the feature-map height into horizontal
-patches, a tuple of (start, end) row ranges from top to bottom, and assigns
-branch i the mask that zeroes exactly range i, the same rows for every
-sample in every batch. Masks are float 0/1 grids applied by
-multiplication, so the backward pass is the same mask applied to the
+Each fixed schedule (``UniformRowDrop``, ``OverlapRowDrop``, ``NoDrop``)
+states its own rule as ``ranges(height)``: the feature-map height split into
+horizontal patches, a tuple of (start, end) row ranges from top to bottom.
+``branch_masks`` assigns branch i the mask that zeroes exactly range i, the
+same rows for every sample in every batch. Masks are float 0/1 grids applied
+by multiplication, so the backward pass is the same mask applied to the
 upstream gradient. ``DROP_SCHEMES`` is the one table of scheme classes,
 keyed by the name configs and checkpoints use.
 
@@ -28,9 +29,10 @@ Array = np.ndarray
 # --- drop strategy kinds -------------------------------------------------
 #
 # Parameters are checked on construction: dropout rates lie in [0, 1), a
-# block's sides and a schedule's patch counts are positive. Whether a block
-# or patch fits a given map is checked where the map size is known, a block
-# only by ``DropBlock.check_fits``.
+# block's sides and a schedule's patch counts are positive, and an overlap
+# lies in (0, patch_h). Whether a block or patch fits a given map is checked
+# where the map size is known: a block only by ``DropBlock.check_fits``, a
+# schedule's patches only by its ``ranges``.
 
 class RandomizedDrop:
     """Base of the randomized kinds, whose masks ``baseline_mask`` draws each step."""
@@ -103,6 +105,14 @@ class UniformRowDrop:
         if self.m < 1:
             raise ConfigError(f"UniformRowDrop: m must be positive, got {self.m}")
 
+    def ranges(self, height: int) -> tuple[tuple[int, int], ...]:
+        """Split [0, height) into m equal contiguous row ranges, top to bottom."""
+        if height <= 0 or height % self.m != 0:
+            raise ConfigError(f"UniformRowDrop: m={self.m} must divide the "
+                              f"positive height, got height={height}")
+        step = height // self.m
+        return tuple((i * step, (i + 1) * step) for i in range(self.m))
+
 
 @dataclass(frozen=True)
 class OverlapRowDrop:
@@ -116,10 +126,29 @@ class OverlapRowDrop:
                 f"OverlapRowDrop: need 0 < overlap < patch_h, got "
                 f"overlap={self.overlap}, patch_h={self.patch_h}")
 
+    def ranges(self, height: int) -> tuple[tuple[int, int], ...]:
+        """Patches of patch_h rows at stride patch_h - overlap while they fit,
+        then [height - patch_h, height) if that leaves bottom rows uncovered."""
+        if self.patch_h > height:
+            raise ConfigError(
+                f"OverlapRowDrop: patch_h={self.patch_h} exceeds height={height}")
+        stride = self.patch_h - self.overlap
+        ranges = []
+        start = 0
+        while start + self.patch_h <= height:
+            ranges.append((start, start + self.patch_h))
+            start += stride
+        if ranges[-1][1] < height:
+            ranges.append((height - self.patch_h, height))
+        return tuple(ranges)
+
 
 @dataclass(frozen=True)
 class NoDrop:
-    """Single branch, nothing dropped."""
+    """Single branch, nothing dropped: the one empty range at any height."""
+
+    def ranges(self, height: int) -> tuple[tuple[int, int], ...]:
+        return ((0, 0),)
 
 
 # the one name -> class table of drop schemes; configs and checkpoints name
@@ -136,40 +165,6 @@ DROP_SCHEMES = {
 }
 
 DropStrategyKind = Union[tuple(DROP_SCHEMES.values())]
-
-
-def uniform_row_partition(height: int, m: int) -> tuple[tuple[int, int], ...]:
-    """Split [0, height) into m equal contiguous row ranges, top to bottom."""
-    if m <= 0:
-        raise ConfigError(f"uniform_row_partition: m must be positive, got {m}")
-    if height <= 0 or height % m != 0:
-        raise ConfigError(
-            f"uniform_row_partition: m={m} must divide height={height}")
-    step = height // m
-    return tuple((i * step, (i + 1) * step) for i in range(m))
-
-
-def overlap_row_partition(height: int, patch_h: int, overlap: int
-                          ) -> tuple[tuple[int, int], ...]:
-    """Patches of patch_h rows placed at stride patch_h - overlap.
-
-    Ranges are emitted while start + patch_h <= height; if the last emitted
-    range ends short of the bottom, one extra range [height - patch_h,
-    height) is appended so the partition still covers the whole map.
-    """
-    if not (0 < overlap < patch_h <= height):
-        raise ConfigError(
-            f"overlap_row_partition: need 0 < overlap < patch_h <= height, "
-            f"got overlap={overlap}, patch_h={patch_h}, height={height}")
-    stride = patch_h - overlap
-    ranges = []
-    start = 0
-    while start + patch_h <= height:
-        ranges.append((start, start + patch_h))
-        start += stride
-    if ranges[-1][1] < height:
-        ranges.append((height - patch_h, height))
-    return tuple(ranges)
 
 
 # no caller in the package: perfbench/spans.py wraps it by name
@@ -198,22 +193,16 @@ def branch_masks(kind: DropStrategyKind, height: int, width: int) -> list[Array]
     """All branch masks of a deterministic schedule, in branch order.
 
     Branch i's mask is a float64 (height, width) grid of ones with the rows
-    of range i zeroed; NoDrop is the one empty range, a single all-ones
-    mask. Randomized kinds have no fixed masks and are rejected here (see
-    ``baseline_mask``).
+    of ``kind.ranges(height)[i]`` zeroed; the one empty range gives a single
+    all-ones mask. Randomized kinds have no fixed masks and are rejected
+    here (see ``baseline_mask``).
     """
     if width <= 0:
         raise ConfigError(f"branch_masks: width must be positive, got {width}")
-    if isinstance(kind, NoDrop):
-        ranges = ((0, 0),)
-    elif isinstance(kind, UniformRowDrop):
-        ranges = uniform_row_partition(height, kind.m)
-    elif isinstance(kind, OverlapRowDrop):
-        ranges = overlap_row_partition(height, kind.patch_h, kind.overlap)
-    else:
+    if isinstance(kind, RandomizedDrop):
         raise ConfigError(f"branch_masks: {type(kind).__name__} is not deterministic")
     masks = []
-    for start, end in ranges:
+    for start, end in kind.ranges(height):
         mask = np.ones((height, width))
         mask[start:end] = 0.0
         masks.append(mask)

@@ -40,11 +40,11 @@ def check_array_bytes(where: str, arrays: dict) -> None:
 def read_text(path, what: str) -> str:
     """The UTF-8 text of input file ``path``, described as ``what``.
 
-    Any OS error (missing file, a directory, no permission) or bytes that
-    are not UTF-8 raise a ConfigError naming the path.
+    A leading BOM is dropped; any OS error (missing file, directory, no
+    permission) or non-UTF-8 bytes raise a ConfigError naming the path.
     """
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise ConfigError(
             f"cannot read {what} {path}: {exc.strerror or exc}") from exc

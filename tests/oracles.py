@@ -10,7 +10,9 @@ pass, ``dense_rerank`` keeps the dense-V re-ranking that
 ``loop_rerank`` keeps its per-point form (a Python pass per point or query
 where the package runs block passes), ``add_at_scatter`` keeps the ``np.add.at`` form of the metric loss's
 gradient scatter, and ``oneshot_infer`` keeps the one pass over every image
-that ``model.infer`` runs in training-batch blocks.
+that ``model.infer`` runs in training-batch blocks. ``uniform_row_partition``
+and ``overlap_row_partition`` keep the two free functions that the fixed drop
+schedules' ``ranges`` methods replaced.
 """
 
 import math
@@ -20,10 +22,44 @@ import numpy as np
 from elasticdrop import dropmask
 from elasticdrop.elastic_loss import (batch_elastic_loss, batch_hard_mine,
                                       elastic_weight, sq_dist_matrix)
-from elasticdrop.errors import NumericError
+from elasticdrop.errors import ConfigError, NumericError
 from elasticdrop.model import _encode_cells, _shared_forward, metric_weighting
 from elasticdrop.numerics import (linear_backward, linear_forward,
                                   relu_forward, softmax_cross_entropy)
+
+
+def uniform_row_partition(height: int, m: int) -> tuple[tuple[int, int], ...]:
+    """Split [0, height) into m equal contiguous row ranges, top to bottom."""
+    if m <= 0:
+        raise ConfigError(f"uniform_row_partition: m must be positive, got {m}")
+    if height <= 0 or height % m != 0:
+        raise ConfigError(
+            f"uniform_row_partition: m={m} must divide height={height}")
+    step = height // m
+    return tuple((i * step, (i + 1) * step) for i in range(m))
+
+
+def overlap_row_partition(height: int, patch_h: int, overlap: int
+                          ) -> tuple[tuple[int, int], ...]:
+    """Patches of patch_h rows placed at stride patch_h - overlap.
+
+    Ranges are emitted while start + patch_h <= height; if the last emitted
+    range ends short of the bottom, one extra range [height - patch_h,
+    height) is appended so the partition still covers the whole map.
+    """
+    if not (0 < overlap < patch_h <= height):
+        raise ConfigError(
+            f"overlap_row_partition: need 0 < overlap < patch_h <= height, "
+            f"got overlap={overlap}, patch_h={patch_h}, height={height}")
+    stride = patch_h - overlap
+    ranges = []
+    start = 0
+    while start + patch_h <= height:
+        ranges.append((start, start + patch_h))
+        start += stride
+    if ranges[-1][1] < height:
+        ranges.append((height - patch_h, height))
+    return tuple(ranges)
 
 
 def naive_relu_backward(x, g):

@@ -14,8 +14,7 @@ import pytest
 from oracles import naive_evaluate, random_retrieval_instance, rerank_reference
 
 from elasticdrop.cli import main, run_config_from_dict, run_train_eval
-from elasticdrop.dropmask import (NoDrop, overlap_row_partition,
-                                  uniform_row_partition)
+from elasticdrop.dropmask import NoDrop, OverlapRowDrop, UniformRowDrop
 from elasticdrop.elastic_loss import (batch_elastic_loss,
                                       batch_hard_triplet_loss, elastic_weight,
                                       sq_dist_matrix)
@@ -94,7 +93,7 @@ def test_criterion_4_mask_algebra():
         for m in range(1, 13):
             if h % m:
                 continue
-            part = uniform_row_partition(h, m)
+            part = UniformRowDrop(m=m).ranges(h)
             zero_sets = [set(range(s, e)) for s, e in part]
             assert set().union(*zero_sets) == set(range(h))
             for i, rows in enumerate(zero_sets):
@@ -106,7 +105,7 @@ def test_criterion_4_mask_algebra():
     for h in range(2, 49):
         for patch_h in range(2, h + 1):
             for overlap in range(1, patch_h):
-                part = overlap_row_partition(h, patch_h, overlap)
+                part = OverlapRowDrop(patch_h, overlap).ranges(h)
                 union = set()
                 for s, e in part:
                     union |= set(range(s, e))

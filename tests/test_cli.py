@@ -508,6 +508,21 @@ class TestEvalCommand:
         assert doc["all"]["rank"]["1"] == 1.0
         assert doc["all"]["mAP"] == 1.0
 
+    @pytest.mark.parametrize("bom_file", ["q.csv", "config.json"])
+    def test_leading_bom_is_ignored(self, tmp_path, config_path, bom_file):
+        """A file that starts with a UTF-8 byte-order mark, as spreadsheets
+        export csv, gives the same metrics as the file without one."""
+        metrics = tmp_path / "out" / "metrics.json"
+        args = ["eval", "--config", str(config_path),
+                *write_clustered_csvs(tmp_path), "--out", str(metrics.parent)]
+        assert main(args) == 0
+        plain = metrics.read_bytes()
+        metrics.unlink()
+        path = tmp_path / bom_file
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        assert main(args) == 0
+        assert metrics.read_bytes() == plain
+
     @pytest.mark.parametrize("source", ["checkpoint", "csv"])
     def test_out_writes_the_printed_metrics(self, tmp_path, config_path,
                                             capsys, source):
@@ -866,6 +881,15 @@ class TestMasksCommand:
     def test_invalid_overlap_exit_1(self, capsys):
         assert main(["masks", "--scheme", "overlap", "--patch-h", "4",
                      "--overlap", "0"]) == 1
+
+    @pytest.mark.parametrize("flags, fragment", [
+        (["--height", "24", "--m", "5"], "must divide"),
+        (["--scheme", "overlap", "--patch-h", "9", "--height", "8"],
+         "height=8"),
+    ], ids=["m_not_dividing_height", "patch_taller_than_map"])
+    def test_schedule_not_fitting_height_exit_1(self, capsys, flags, fragment):
+        assert main(["masks", *flags]) == 1
+        assert_one_config_error_line(capsys, fragment)
 
     # only sizes past numpy's byte limit: legal but huge ones would be built
     @pytest.mark.parametrize("height, width", [("10000000000000000000", "1"),

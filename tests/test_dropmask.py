@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
+from oracles import overlap_row_partition, uniform_row_partition
+
 from elasticdrop.dropmask import (DROP_SCHEMES, BatchDropBlock, BatchDropout,
                                   DropBlock, ElementDropout, NoDrop,
                                   OverlapRowDrop, RandomizedDrop,
                                   SpatialDropout, UniformRowDrop, apply_mask,
-                                  baseline_mask, branch_masks,
-                                  overlap_row_partition, uniform_row_partition)
+                                  baseline_mask, branch_masks)
 from elasticdrop.errors import ConfigError, ShapeError
 from elasticdrop.model import ModelConfig
 
@@ -25,32 +26,32 @@ SCHEME_CASES = {
 
 class TestUniformPartition:
     def test_feature_height_24_m6(self):
-        part = uniform_row_partition(24, 6)
+        part = UniformRowDrop(m=6).ranges(24)
         assert part == ((0, 4), (4, 8), (8, 12), (12, 16), (16, 20), (20, 24))
 
     def test_m8(self):
-        part = uniform_row_partition(24, 8)
+        part = UniformRowDrop(m=8).ranges(24)
         assert len(part) == 8
         assert all(e - s == 3 for s, e in part)
 
     def test_unit_patches(self):
-        part = uniform_row_partition(6, 6)
+        part = UniformRowDrop(m=6).ranges(6)
         assert part == tuple((i, i + 1) for i in range(6))
 
     def test_non_divisor_rejected(self):
         with pytest.raises(ConfigError):
-            uniform_row_partition(24, 5)
+            UniformRowDrop(m=5).ranges(24)
 
     def test_bad_m_rejected(self):
         with pytest.raises(ConfigError):
-            uniform_row_partition(24, 0)
+            UniformRowDrop(m=0).ranges(24)
 
     def test_coverage_and_disjointness(self):
         for h in range(1, 49):
             for m in range(1, 13):
                 if h % m:
                     continue
-                part = uniform_row_partition(h, m)
+                part = UniformRowDrop(m=m).ranges(h)
                 rows = [set(range(s, e)) for s, e in part]
                 assert set().union(*rows) == set(range(h))
                 for i in range(len(rows)):
@@ -60,33 +61,63 @@ class TestUniformPartition:
 
 class TestOverlapPartition:
     def test_stride_rule_h24(self):
-        part = overlap_row_partition(24, patch_h=4, overlap=1)
+        part = OverlapRowDrop(patch_h=4, overlap=1).ranges(24)
         assert part == ((0, 4), (3, 7), (6, 10), (9, 13), (12, 16),
                                (15, 19), (18, 22), (20, 24))
         assert len(part) == 8
 
     def test_stride_rule_h6(self):
-        part = overlap_row_partition(6, patch_h=3, overlap=1)
+        part = OverlapRowDrop(patch_h=3, overlap=1).ranges(6)
         assert part == ((0, 3), (2, 5), (3, 6))
 
     def test_zero_overlap_rejected(self):
         with pytest.raises(ConfigError):
-            overlap_row_partition(24, patch_h=4, overlap=0)
+            OverlapRowDrop(patch_h=4, overlap=0).ranges(24)
 
     def test_overlap_ge_patch_rejected(self):
         with pytest.raises(ConfigError):
-            overlap_row_partition(24, patch_h=4, overlap=4)
+            OverlapRowDrop(patch_h=4, overlap=4).ranges(24)
 
     def test_coverage_and_consecutive_overlap(self):
         for h in range(2, 49):
             for patch_h in range(2, h + 1):
                 for overlap in range(1, patch_h):
-                    part = overlap_row_partition(h, patch_h, overlap)
+                    part = OverlapRowDrop(patch_h, overlap).ranges(h)
                     rows = [set(range(s, e)) for s, e in part]
                     assert set().union(*rows) == set(range(h))
                     # consecutive ranges share `overlap` rows except at the clamp
                     for i in range(len(rows) - 2):
                         assert len(rows[i] & rows[i + 1]) == overlap
+
+
+
+def _ranges_or_error(build):
+    """build()'s ranges, or None where it raises a ConfigError."""
+    try:
+        return build()
+    except ConfigError:
+        return None
+
+
+def test_ranges_match_partition_functions():
+    """Each fixed schedule's ``ranges`` against the free partition function
+    it replaced: the same ranges, and a ConfigError at exactly the same
+    heights, for every constructible parameter set."""
+    heights = range(-1, 49)
+    for m in range(1, 50):
+        kind = UniformRowDrop(m=m)
+        for h in heights:
+            assert (_ranges_or_error(lambda: kind.ranges(h))
+                    == _ranges_or_error(lambda: uniform_row_partition(h, m))
+                    ), (h, m)
+    for patch_h in range(2, 50):
+        for overlap in range(1, patch_h):
+            kind = OverlapRowDrop(patch_h=patch_h, overlap=overlap)
+            for h in heights:
+                want = _ranges_or_error(
+                    lambda: overlap_row_partition(h, patch_h, overlap))
+                assert _ranges_or_error(lambda: kind.ranges(h)) == want, (
+                    h, patch_h, overlap)
 
 
 class TestDropPatchMask:
