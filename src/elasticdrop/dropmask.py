@@ -197,8 +197,9 @@ def branch_masks(kind: DropStrategyKind, height: int, width: int) -> list[Array]
     all-ones mask. Randomized kinds have no fixed masks and are rejected
     here (see ``baseline_mask``).
     """
-    if width <= 0:
-        raise ConfigError(f"branch_masks: width must be positive, got {width}")
+    if height <= 0 or width <= 0:
+        raise ConfigError(f"branch_masks: height and width must be positive, "
+                          f"got {height}x{width}")
     if isinstance(kind, RandomizedDrop):
         raise ConfigError(f"branch_masks: {type(kind).__name__} is not deterministic")
     masks = []

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateBatchError, NumericError, ShapeError
+from .errors import ConfigError, DegenerateBatchError, NumericError, ShapeError
 from .numerics import sum_in_order
 
 Array = np.ndarray
@@ -67,6 +67,11 @@ class HardPairs:
 _SQ_DIST_BLOCK_BYTES = 256 * 1024
 
 
+def _block_rows(width: int) -> int:
+    """Rows of ``width`` float64 outputs that fill one ``_sq_dists`` block."""
+    return max(1, _SQ_DIST_BLOCK_BYTES // (8 * max(width, 1)))
+
+
 def _sq_dists(a: Array, b: Array) -> Array:
     """Squared euclidean distances of (B, n, D) against (B, m, D) float64
     stacks, set by set: the (B, n, m) kernel behind every distance here.
@@ -90,7 +95,7 @@ def _sq_dists(a: Array, b: Array) -> Array:
     # (D, B, n, 1) and (D, B, 1, m) views: one feature per leading index
     a_cols = a.transpose(2, 0, 1)[..., None]
     b_cols = np.ascontiguousarray(b.transpose(2, 0, 1))[:, :, None]
-    rows = max(1, _SQ_DIST_BLOCK_BYTES // (out.itemsize * max(sets * m, 1)))
+    rows = _block_rows(sets * m)
     scratch = np.empty((sets, min(rows, n), m))
     for start in range(0, n, rows):
         block = out[:, start:start + rows]
@@ -110,12 +115,30 @@ def sq_dist_matrix(a, b) -> Array:
     The (n, m) result is ``_sq_dists`` over a stack of one set, so it is
     bit-identical to a naive per-pair loop, and it raises NumericError when
     a distance overflows to infinity.
+
+    Self-distances, ``b is a``, are symmetric: each tile of one kernel
+    block's rows is computed from its first row's column onward, then
+    mirrored into the rows below by a transposed copy. ``(x - y)**2`` equals
+    ``(y - x)**2`` exactly and the features add in the same order, so every
+    value is the full kernel's; each tile's finiteness check covers the
+    values mirrored from it.
     """
+    same = b is a
     a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
+    b = a if same else np.asarray(b, dtype=np.float64)
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
         raise ShapeError(f"sq_dist_matrix: {a.shape} vs {b.shape}")
-    return _sq_dists(a[None], b[None])[0]
+    if not same:
+        return _sq_dists(a[None], b[None])[0]
+    n = len(a)
+    out = np.empty((n, n))
+    rows = _block_rows(n)
+    for start in range(0, n, rows):
+        stop = min(start + rows, n)
+        tile = _sq_dists(a[None, start:stop], a[None, start:])[0]
+        out[start:stop, start:] = tile
+        out[stop:, start:stop] = tile[:, stop - start:].T
+    return out
 
 
 def batch_hard_mine(dist, ids) -> HardPairs:
@@ -156,9 +179,9 @@ def elastic_weight(max_pos, min_neg):
     mp = np.asarray(max_pos, dtype=np.float64)
     mn = np.asarray(min_neg, dtype=np.float64)
     if not (np.all(np.isfinite(mp)) and np.all(np.isfinite(mn))):
-        raise ValueError("elastic_weight: inputs must be finite")
+        raise ConfigError("elastic_weight: inputs must be finite")
     if np.any(mp < 0) or np.any(mn < 0):
-        raise ValueError("elastic_weight: distances must be non-negative")
+        raise ConfigError("elastic_weight: distances must be non-negative")
     delta = mp / (mn + 1.0)
     # clamped below 1: float64's sigmoid saturates for delta above ~37, but
     # the weight's open upper bound must survive in the returned value
@@ -185,10 +208,10 @@ def batch_elastic_loss(vectors, ids, eta: float = 3.0, weighting="sigmoid",
     if not np.all(np.isfinite(vectors)):
         raise NumericError("batch_elastic_loss: descriptors must be finite")
     if not eta > 0:
-        raise ValueError(f"batch_elastic_loss: eta must be positive, got {eta}")
+        raise ConfigError(f"batch_elastic_loss: eta must be positive, got {eta}")
     named = isinstance(weighting, str)
     if named and weighting not in ("sigmoid", "detached"):
-        raise ValueError(f"batch_elastic_loss: unknown weighting {weighting!r}")
+        raise ConfigError(f"batch_elastic_loss: unknown weighting {weighting!r}")
 
     # every branch in one call of the kernel that evaluation shares
     dist = _sq_dists(vectors, vectors)
@@ -203,8 +226,8 @@ def batch_elastic_loss(vectors, ids, eta: float = 3.0, weighting="sigmoid",
     else:
         w = np.broadcast_to(np.asarray(weighting, dtype=np.float64), mp.shape)
         if not np.all(np.isfinite(w)):
-            raise ValueError("batch_elastic_loss: a constant weighting must be "
-                             "finite")
+            raise ConfigError("batch_elastic_loss: a constant weighting must "
+                              "be finite")
     if stats is not None:
         stats["weights"] = w
     raw = eta + mp - mn

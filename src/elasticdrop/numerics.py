@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NumericError, ShapeError
+from .errors import ConfigError, NumericError, ShapeError
 
 Array = np.ndarray
 
@@ -138,7 +138,7 @@ def softmax_cross_entropy(logits, labels) -> tuple[float, Array]:
     labels = labels.astype(np.int64)
     n, c = logits.shape[-2:]
     if labels.size and (labels.min() < 0 or labels.max() >= c):
-        raise ValueError(f"softmax_cross_entropy: label outside [0, {c})")
+        raise ConfigError(f"softmax_cross_entropy: label outside [0, {c})")
     shifted = logits - logits.max(axis=-1, keepdims=True)
     log_z = np.log(np.exp(shifted).sum(axis=-1))
     log_probs = shifted - log_z[..., None]

@@ -12,7 +12,8 @@ where the package runs block passes), ``add_at_scatter`` keeps the ``np.add.at``
 gradient scatter, and ``oneshot_infer`` keeps the one pass over every image
 that ``model.infer`` runs in training-batch blocks. ``uniform_row_partition``
 and ``overlap_row_partition`` keep the two free functions that the fixed drop
-schedules' ``ranges`` methods replaced.
+schedules' ``ranges`` methods replaced, and ``sorted_evaluate`` keeps the
+stable-sort ranking that ``retrieval_eval.evaluate`` replaced by counting.
 """
 
 import math
@@ -25,7 +26,9 @@ from elasticdrop.elastic_loss import (batch_elastic_loss, batch_hard_mine,
 from elasticdrop.errors import ConfigError, NumericError
 from elasticdrop.model import _encode_cells, _shared_forward, metric_weighting
 from elasticdrop.numerics import (linear_backward, linear_forward,
-                                  relu_forward, softmax_cross_entropy)
+                                  relu_forward, softmax_cross_entropy,
+                                  sum_in_order)
+from elasticdrop.retrieval_eval import EvalMetrics
 
 
 def uniform_row_partition(height: int, m: int) -> tuple[tuple[int, int], ...]:
@@ -213,6 +216,35 @@ def naive_evaluate(q_desc, q_ids, q_cams, g_desc, g_ids, g_cams, ks,
     if counted == 0:
         return {k: 0.0 for k in ks}, 0.0, 0
     return {k: hits[k] / counted for k in ks}, ap_sum / counted, counted
+
+
+def sorted_evaluate(query, gallery, ks, dist):
+    """``retrieval_eval.evaluate`` by one stable argsort of each query's row.
+
+    Given (query, gallery) ``RetrievalSet``s, positive ranks and the
+    precomputed distances; inputs are assumed valid. Returns EvalMetrics.
+    """
+    ks = sorted({int(k) for k in ks})
+    counted = 0
+    ap_sum = 0.0
+    hits = {k: 0 for k in ks}
+    for i in range(len(query)):
+        order = np.argsort(dist[i], kind="stable")
+        junk = (gallery.ids == query.ids[i]) & (gallery.cameras == query.cameras[i])
+        ranked = order[~junk[order]]
+        match = gallery.ids[ranked] == query.ids[i]
+        if not match.any():
+            continue
+        counted += 1
+        hit_pos = np.flatnonzero(match)
+        precisions = (np.arange(hit_pos.size) + 1.0) / (hit_pos + 1.0)
+        ap_sum += sum_in_order(precisions) / hit_pos.size
+        for k in ks:
+            if match[:k].any():
+                hits[k] += 1
+    if counted == 0:
+        return EvalMetrics({k: 0.0 for k in ks}, 0.0, 0)
+    return EvalMetrics({k: hits[k] / counted for k in ks}, ap_sum / counted, counted)
 
 
 def _ordered_neighbors(dist_row, count):

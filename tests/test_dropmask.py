@@ -209,6 +209,13 @@ class TestBranchMasks:
         with pytest.raises(ConfigError, match="width must be positive"):
             branch_masks(kind, 8, 0)
 
+    @pytest.mark.parametrize("height", [0, -1])
+    def test_non_positive_height_rejected(self, height):
+        # NoDrop's one empty range fits any height, so only this check
+        # stops an empty or a negative-height mask
+        with pytest.raises(ConfigError, match="height and width must be positive"):
+            branch_masks(NoDrop(), height, 4)
+
 
 class TestBaselineMask:
     def setup_method(self):

@@ -13,7 +13,8 @@ from elasticdrop import elastic_loss
 from elasticdrop.elastic_loss import (batch_elastic_loss, batch_hard_mine,
                                       batch_hard_triplet_loss, elastic_weight,
                                       sq_dist_matrix)
-from elasticdrop.errors import DegenerateBatchError, NumericError, ShapeError
+from elasticdrop.errors import (ConfigError, DegenerateBatchError, NumericError,
+                               ShapeError)
 from elasticdrop.numerics import finite_diff_grad, max_rel_error
 
 
@@ -161,6 +162,60 @@ class TestSqDistBlocks:
             else:
                 with pytest.raises(NumericError, match="finite"):
                     sq_dist_matrix(a, b)
+
+
+def full_kernel(a):
+    """Self-distances of (n, D) ``a`` from one unmirrored kernel call."""
+    return elastic_loss._sq_dists(a[None], a[None])[0]
+
+
+class TestMirroredSelfDistances:
+    """``sq_dist_matrix(a, a)`` runs row tiles of the kernel from the
+    diagonal on and mirrors them; every byte matches the full kernel."""
+
+    TILE = 4
+
+    @pytest.mark.parametrize("n", [0, 1, TILE - 1, TILE, TILE + 1,
+                                   3 * TILE + 5])
+    def test_tiles_match_the_full_kernel(self, n):
+        # the tile is the kernel's block height at n columns, TILE here
+        a = np.random.default_rng(n).normal(size=(n, 9))
+        with mock.patch.object(elastic_loss, "_SQ_DIST_BLOCK_BYTES",
+                               8 * max(n, 1) * self.TILE):
+            assert elastic_loss._block_rows(n) == self.TILE
+            got = sq_dist_matrix(a, a)
+            want = full_kernel(a)
+        assert got.shape == (n, n) and got.tobytes() == want.tobytes()
+        assert got.tobytes() == sq_dist_matrix(a, a.copy()).tobytes()
+
+    @pytest.mark.parametrize("n", [1, 23, 24, 25, 1350])
+    def test_default_tiles_match_the_full_kernel(self, n):
+        # 1350 rows tile by 24: the rerank_eval gallery's self-distances
+        rng = np.random.default_rng(n)
+        a = rng.normal(size=(n, 32))
+        assert sq_dist_matrix(a, a).tobytes() == full_kernel(a).tobytes()
+        ties = rng.integers(-1, 2, size=(n, 3)).astype(float)
+        assert (sq_dist_matrix(ties, ties).tobytes()
+                == full_kernel(ties).tobytes())
+
+    def test_loss_stack_matches_the_tiles(self):
+        # the loss keeps one stacked call over its (B, N, D) branches
+        vectors = np.random.default_rng(41).normal(size=(4, 32, 16))
+        stacked = elastic_loss._sq_dists(vectors, vectors)
+        want = np.stack([sq_dist_matrix(v, v) for v in vectors])
+        assert stacked.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("i, j", [(0, 1), (0, 13), (9, 13)])
+    def test_overflow_raises_in_any_tile(self, i, j):
+        # rows i and j overflow only against each other: inside the first
+        # tile, or in the tile of row i, mirrored into row j's
+        a = np.zeros((17, 2))
+        a[i, 0], a[j, 0] = 1e154, -1e154
+        with mock.patch.object(elastic_loss, "_SQ_DIST_BLOCK_BYTES",
+                               8 * 17 * self.TILE):
+            with np.errstate(over="ignore"):
+                with pytest.raises(NumericError, match="must be finite"):
+                    sq_dist_matrix(a, a)
 
 
 @st.composite
@@ -406,13 +461,13 @@ class TestElasticWeight:
             assert (np.diff(ws) < 0).all()
 
     def test_negative_input_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="non-negative"):
             elastic_weight(-0.1, 1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="non-negative"):
             elastic_weight(1.0, -0.1)
 
     def test_non_finite_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="must be finite"):
             elastic_weight(float("nan"), 1.0)
 
 
@@ -530,13 +585,13 @@ class TestBatchElasticLoss:
     @pytest.mark.parametrize("weighting", ["softmax", None, float("inf")])
     def test_unknown_weighting_rejected(self, weighting):
         vectors, ids = random_batch(np.random.default_rng(73))
-        with pytest.raises(ValueError, match="weighting"):
+        with pytest.raises(ConfigError, match="weighting"):
             single(batch_elastic_loss, vectors, ids, 3.0, weighting)
 
     @pytest.mark.parametrize("eta", [0.0, -1.0, float("nan")])
     def test_non_positive_eta_rejected(self, eta):
         vectors, ids = random_batch(np.random.default_rng(79))
-        with pytest.raises(ValueError, match="eta must be positive"):
+        with pytest.raises(ConfigError, match="eta must be positive"):
             single(batch_elastic_loss, vectors, ids, eta)
 
     @pytest.mark.parametrize("kind", ["sigmoid", "detached", "scalar",

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from elasticdrop.errors import NumericError, ShapeError
+from elasticdrop.errors import ConfigError, NumericError, ShapeError
 from elasticdrop.numerics import (ParamTensor, adam_step, finite_diff_grad,
                                   init_linear, linear_backward, linear_forward,
                                   max_rel_error, relu_backward, relu_forward,
@@ -175,7 +175,7 @@ class TestSoftmaxCrossEntropy:
             softmax_cross_entropy(np.zeros(logits), np.zeros(labels, dtype=int))
 
     def test_label_out_of_range(self):
-        with pytest.raises(ValueError, match="label"):
+        with pytest.raises(ConfigError, match="label"):
             softmax_cross_entropy([[0.0, 1.0]], [2])
 
 

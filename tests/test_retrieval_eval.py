@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from oracles import (dense_rerank, loop_rerank, naive_evaluate,
-                     random_retrieval_instance, rerank_reference)
+                     random_retrieval_instance, rerank_reference,
+                     sorted_evaluate)
 
 from elasticdrop import retrieval_eval
 from elasticdrop.elastic_loss import sq_dist_matrix
@@ -23,7 +24,39 @@ def make_set(desc, ids, cams):
                         ids=np.asarray(ids), cameras=np.asarray(cams))
 
 
+@st.composite
+def tied_retrieval_cases(draw):
+    """(query, gallery, ks, dist): few ids and cameras, so junk entries and
+    queries without a positive are common, integer distances that tie,
+    and ranks up to three past the gallery size."""
+    nq, ng = draw(st.integers(1, 8)), draw(st.integers(1, 12))
+    labels = st.integers(0, 3)
+    cams = st.integers(0, 2)
+    query = make_set(np.zeros((nq, 1)), draw(arrays(np.int64, nq, elements=labels)),
+                     draw(arrays(np.int64, nq, elements=cams)))
+    gallery = make_set(np.zeros((ng, 1)), draw(arrays(np.int64, ng, elements=labels)),
+                       draw(arrays(np.int64, ng, elements=cams)))
+    dist = draw(arrays(np.int64, (nq, ng), elements=st.integers(0, 3)))
+    ks = draw(st.lists(st.integers(1, ng + 3), min_size=1, max_size=4))
+    return query, gallery, ks, dist.astype(float)
+
+
 class TestEvaluate:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(tied_retrieval_cases())
+    def test_counts_match_the_sorted_form(self, case):
+        query, gallery, ks, dist = case
+        assert (evaluate(query, gallery, ks=ks, dist=dist)
+                == sorted_evaluate(query, gallery, ks, dist))
+
+    def test_counts_match_the_sorted_form_on_clustered_data(self):
+        # a one-camera gallery: its own camera's queries see only junk
+        query, gallery = clustered_sets(np.random.default_rng(31), ng=20)
+        dist = sq_dist_matrix(query.descriptors, gallery.descriptors)
+        got = evaluate(query, gallery, ks=[1, 5, 10, 500], dist=dist)
+        assert got == sorted_evaluate(query, gallery, [1, 5, 10, 500], dist)
+        assert got.num_valid_queries == 40
+
     def test_correct_first(self):
         query = make_set([[0.0, 0.0]], [1], [0])
         gallery = make_set([[0.1, 0.0], [5.0, 5.0]], [1, 2], [1, 1])
