@@ -222,49 +222,11 @@ def _load_embedding_csv(path) -> RetrievalSet:
     headers (first field ``id``) are skipped; messages name the file's line.
 
     id and camera are int64 integers; every row must carry the same number
-    (at least one) of finite floats. A plain file is parsed in bulk; any
-    other file, and every file with an error, is read line by line, which
-    gives the same arrays and names the line at fault.
+    (at least one) of finite floats.
     """
-    text = read_text(path, "embedding csv")
-    bulk = _bulk_embedding_rows(text)
-    return bulk if bulk is not None else _embedding_rows_by_line(text, path)
-
-
-def _bulk_embedding_rows(text: str) -> RetrievalSet | None:
-    """The rows of a plain embedding CSV, or None for any other file.
-
-    Plain means an optional header first, no blank line, the same number
-    (at least three) of fields on every line, integer labels within int64
-    and finite floats that ``np.loadtxt`` reads. Its floats parse as
-    Python's ``float`` does; the labels go through ``int``, never through
-    a float, which would merge labels above 2**53.
-    """
-    lines = text.split("\n")
-    if lines[-1] == "":
-        lines.pop()
-    if lines and lines[0].split(",", 1)[0].strip() == "id":
-        del lines[0]
-    width = lines[0].count(",") if lines else 0
-    if width < 2 or any(line.count(",") != width for line in lines):
-        return None
-    fields = [line.split(",", 2) for line in lines]
-    try:
-        ids = np.array([int(f[0]) for f in fields], dtype=np.int64)
-        cameras = np.array([int(f[1]) for f in fields], dtype=np.int64)
-        rows = np.loadtxt([f[2] for f in fields], dtype=np.float64,
-                          delimiter=",", comments=None, ndmin=2)
-    except (ValueError, OverflowError):
-        return None
-    if not np.isfinite(rows).all():
-        return None
-    return RetrievalSet(descriptors=rows, ids=ids, cameras=cameras)
-
-
-def _embedding_rows_by_line(text: str, path) -> RetrievalSet:
-    """``_load_embedding_csv`` one line at a time, each error naming it."""
+    text = read_text(path, "embedding csv").split("\n")
     ids, cameras, rows = [], [], []
-    for lineno, line in enumerate(text.split("\n"), start=1):
+    for lineno, line in enumerate(text, start=1):
         parts = [p.strip() for p in line.split(",")]
         if not line.strip() or parts[0] == "id":
             continue

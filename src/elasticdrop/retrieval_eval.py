@@ -76,10 +76,10 @@ def evaluate(query: RetrievalSet, gallery: RetrievalSet, ks=(1, 5, 10),
     Nothing is sorted but each query's positives: a positive's rank in the
     filtered ranking is the count of non-junk gallery entries strictly
     closer to the query, or as close at a lower index, which is its place
-    in a stable ascending sort. ``tests/oracles.py`` keeps the sorting form
-    as ``sorted_evaluate``, which this matches exactly. The count compares
-    each positive with the whole gallery row, so a query's cost grows with
-    its number of positives times the gallery size.
+    in a stable ascending sort. Each other entry finds how many positives
+    precede it by a binary search over the sorted positives, so a query
+    costs O(ng log positives). ``tests/oracles.py`` keeps the sorting form
+    as ``sorted_evaluate``, which this matches exactly.
     """
     # a repeated k is one rank, scored once
     ks = sorted({int(k) for k in ks})
@@ -99,20 +99,28 @@ def evaluate(query: RetrievalSet, gallery: RetrievalSet, ks=(1, 5, 10),
     counted = 0
     ap_sum = 0.0
     hits = {k: 0 for k in ks}
-    columns = np.arange(len(gallery))
+    ng = len(gallery)
     for i in range(len(query)):
         same = gallery.ids == query.ids[i]
-        junk = same & (gallery.cameras == query.cameras[i])
-        positives = np.flatnonzero(same & ~junk)
+        positives = np.flatnonzero(same & (gallery.cameras != query.cameras[i]))
         if not positives.size:
             continue
         counted += 1
-        # finite distances: a junk entry at infinity is never as close
-        row = np.where(junk, np.inf, dist[i])
+        row = dist[i]
         positives = positives[np.argsort(row[positives], kind="stable")]
-        near = row[positives, None]
-        hit_pos = ((row < near).sum(axis=1)
-                   + ((row == near) & (columns < positives[:, None])).sum(axis=1))
+        near = row[positives]
+        # (start of its run of equal distances, index) orders the positives
+        # as the stable sort does; an other entry takes its index into the
+        # key only when its distance ties a positive's
+        keys = np.searchsorted(near, near) * ng + positives
+        others = np.flatnonzero(~same)
+        far = row[others]
+        first = np.searchsorted(near, far)
+        tied = near[np.minimum(first, near.size - 1)] == far
+        ahead = np.searchsorted(keys, first * ng + np.where(tied, others, 0))
+        # positive t follows t positives and every other entry with ahead <= t
+        hit_pos = (np.arange(near.size) + np.cumsum(
+            np.bincount(ahead, minlength=near.size + 1))[:near.size])
         precisions = (np.arange(hit_pos.size) + 1.0) / (hit_pos + 1.0)
         ap_sum += sum_in_order(precisions) / hit_pos.size
         for k in ks:
@@ -154,22 +162,6 @@ def _norm_row_blocks(q_q: Array, q_g: Array, g_g: Array, peak: float):
         if peak > 0:
             rows /= peak
         yield start, rows
-
-
-def _pooled_at(q_q: Array, q_g: Array, g_g: Array, rows: Array,
-               cols: Array) -> Array:
-    """Entries (rows[t], cols[t]) of the pooled matrix
-    ``[[q_q, q_g], [q_g.T, g_g]]``, read from the block that holds each."""
-    nq = len(q_q)
-    out = np.empty(len(rows))
-    in_q_rows, in_q_cols = rows < nq, cols < nq
-    for where, block, r, c in (
-            (in_q_rows & in_q_cols, q_q, rows, cols),
-            (in_q_rows & ~in_q_cols, q_g, rows, cols - nq),
-            (~in_q_rows & in_q_cols, q_g, cols, rows - nq),
-            (~in_q_rows & ~in_q_cols, g_g, rows - nq, cols - nq)):
-        out[where] = block[r[where], c[where]]
-    return out
 
 
 def _runs(lo: Array, counts: Array) -> Array:
@@ -229,18 +221,15 @@ def _mutual(rank: Array, k: int) -> Array:
     return mutual
 
 
-def _expanded_block(start: int, stop: int, blocks: tuple[Array, Array, Array],
-                    peak: float, rank: Array, mutual: Array,
+def _expanded_block(start: int, norm: Array, rank: Array, mutual: Array,
                     mutual_half: Array) -> tuple[Array, Array, Array]:
-    """Sparse V rows [start, stop) as (row lengths, sorted columns,
-    exp(-dist)), before each row is normalized by its sum. Only the
-    expanded entries' distances are read from the three ``blocks`` and
-    divided by ``peak`` when it is positive."""
-    n = len(rank)
+    """Sparse V rows of one row block as (row lengths, sorted columns,
+    exp(-dist)), before each row is normalized by its sum."""
+    stop, n = start + len(norm), norm.shape[1]
     forward, base = rank[start:stop, :mutual.shape[1]], mutual[start:stop]
     # flat positions in the block: row r's column j is r * n + j
-    offset = (np.arange(stop - start) * n)[:, None]
-    expanded = np.zeros((stop - start) * n, dtype=bool)
+    offset = (np.arange(len(norm)) * n)[:, None]
+    expanded = np.zeros(norm.size, dtype=bool)
     expanded[(forward + offset)[base]] = True  # R(i, k1)
     # each candidate c in i's top-(k1+1) with its R(c, round(k1/2))
     cand = rank[forward, :mutual_half.shape[1]] + offset[:, :, None]
@@ -250,22 +239,19 @@ def _expanded_block(start: int, stop: int, blocks: tuple[Array, Array, Array],
     expanded[cand[take]] = True
     expanded[offset[:, 0] + np.arange(start, stop)] = True  # the point itself
     flat = np.flatnonzero(expanded)
-    rows, cols = flat // n, flat % n
-    dist = _pooled_at(*blocks, start + rows, cols)
-    if peak > 0:
-        dist /= peak
-    return np.bincount(rows, minlength=stop - start), cols, np.exp(-dist)
+    return (np.bincount(flat // n, minlength=len(norm)), flat % n,
+            np.exp(-norm.ravel()[flat]))
 
 
 def _expanded_rows(q_q: Array, q_g: Array, g_g: Array, peak: float,
                    rank: Array, k1: int) -> tuple[Array, Array, Array]:
-    """Sparse V of all points as (indptr, columns, values)."""
+    """Sparse V of all points as (indptr, columns, values), from a second
+    pass over the normalized row blocks."""
     half = max(1, int(np.rint(k1 / 2.0)))
     mutual, mutual_half = _mutual(rank, k1), _mutual(rank, half)
     indptr, cols, vals = _csr(
-        [_expanded_block(start, stop, (q_q, q_g, g_g), peak, rank, mutual,
-                         mutual_half)
-         for start, stop in _row_blocks(len(rank))])
+        [_expanded_block(start, block, rank, mutual, mutual_half)
+         for start, block in _norm_row_blocks(q_q, q_g, g_g, peak)])
     lengths = np.diff(indptr)
     vals /= np.repeat(_row_sums(lengths, vals), lengths)
     return indptr, cols, vals
@@ -361,10 +347,8 @@ def k_reciprocal_rerank(q_g, q_q, g_g, k1: int = 20, k2: int = 6,
        more than two thirds of it already lies in R(i, k1), counted on a
        (rows, n) membership mask;
     3. sparse V[i] = normalized exp(-dist) over the expanded set (the point
-       itself is always included), its distances gathered from the three
-       blocks at the expanded entries only and divided by the peak as the
-       ranks' rows are; each row's weights are divided by that row's own
-       ``sum()``;
+       itself is always included), from a second pass over the row blocks;
+       each row's weights are divided by that row's own ``sum()``;
     4. local query expansion: V[i] replaced by the mean of the V rows of i's
        top-k2 neighbors, duplicate columns summed in neighbor order by one
        ``np.bincount`` per block of points (skipped for k2 <= 1);

@@ -20,12 +20,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from elasticdrop import dropmask
-from elasticdrop.cli import (EvalConfig, _bulk_embedding_rows,
-                             _embedding_rows_by_line, _load_embedding_csv,
-                             config_hash, load_run_config, main,
+from elasticdrop.cli import (EvalConfig, config_hash, load_run_config, main,
                              run_config_from_dict)
 from elasticdrop.data_synth import SynthConfig
-from elasticdrop.errors import ConfigError, read_text
+from elasticdrop.errors import ConfigError
 from elasticdrop.model import ModelConfig
 from elasticdrop.retrieval_eval import RetrievalSet
 
@@ -667,6 +665,21 @@ class TestEvalCommand:
         assert code == 1
         assert_one_config_error_line(capsys, "has no descriptor values")
 
+    @pytest.mark.parametrize("gallery", [
+        "0,0,0.1\n1,1,\n", "id,camera,f0\n0,0,\n1,0,0.5\n", "0,0,0.1\n1,1,\r\n"],
+        ids=["last_row", "after_header", "crlf"])
+    def test_empty_descriptor_field_exit_1(self, tmp_path, config_path, capsys,
+                                           gallery):
+        # every line has the same comma count, but one field is empty
+        (tmp_path / "q.csv").write_text("0,1,0.2\n")
+        (tmp_path / "g.csv").write_text(gallery, newline="")
+        code = main(["eval", "--config", str(config_path),
+                     "--query-csv", str(tmp_path / "q.csv"),
+                     "--gallery-csv", str(tmp_path / "g.csv")])
+        assert code == 1
+        assert_one_config_error_line(
+            capsys, "line 2: could not convert string to float: ''")
+
     @pytest.mark.parametrize("rerank", [False, True])
     def test_descriptor_width_mismatch_exit_1(self, tmp_path, capsys, rerank):
         doc = micro_config(tmp_path / "run")
@@ -1090,85 +1103,6 @@ CSV_TOKENS = st.one_of(
 CSV_TEXT = st.lists(st.lists(CSV_TOKENS, min_size=1, max_size=5),
                     max_size=4).map(
     lambda rows: "".join(",".join(r) + "\n" for r in rows))
-
-
-# near-plain embedding CSVs: labels at the int64 and float64 integer
-# edges, floats with or without spaces, and now and then what only the
-# per-line loop reads (a blank line, a second header, an underscore, a
-# non-finite value, a label past int64, CRLF line ends)
-CSV_LABELS = st.one_of(st.integers(-3, 3), st.sampled_from(
-    [2 ** 53, 2 ** 53 + 1, 2 ** 63 - 1, -2 ** 63, 2 ** 63])).map(str)
-CSV_FLOATS = st.one_of(
-    st.floats(allow_nan=False, allow_infinity=False).map(repr),
-    st.floats(-10, 10).map(lambda x: f" {x!r} "))
-CSV_ODD_FLOATS = st.sampled_from(["1_0", "nan", "-inf", "1e400", "", "+.5",
-                                  "0x1", "1.5\x00", "\u2003-2"])
-
-
-@st.composite
-def near_plain_csv(draw):
-    width = draw(st.integers(1, 4))
-    rows = draw(st.lists(st.lists(CSV_FLOATS, min_size=width,
-                                  max_size=width), min_size=1, max_size=5))
-    if draw(st.booleans()):
-        rows[draw(st.integers(0, len(rows) - 1))][
-            draw(st.integers(0, width - 1))] = draw(CSV_ODD_FLOATS)
-    lines = [",".join([draw(CSV_LABELS), draw(CSV_LABELS), *row])
-             for row in rows]
-    if draw(st.booleans()):
-        lines.insert(0, "id,camera," + ",".join(["f"] * width))
-    extra = draw(st.sampled_from([None, "", "id,camera", " "]))
-    if extra is not None:
-        lines.insert(draw(st.integers(0, len(lines))), extra)
-    end = draw(st.sampled_from(["\n", "\r\n"]))
-    return end.join(lines) + draw(st.sampled_from(["", end]))
-
-
-def read_or_error(read):
-    """The (descriptors, ids, cameras) bytes of the set ``read()`` returns,
-    or its ConfigError message."""
-    try:
-        got = read()
-    except ConfigError as exc:
-        return str(exc)
-    return tuple(a.dtype.str + a.tobytes().hex()
-                 for a in (got.descriptors, got.ids, got.cameras))
-
-
-class TestEmbeddingCsvBulk:
-    """The bulk parse against the per-line loop: the same arrays or the
-    same message for every file."""
-
-    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
-    @given(st.one_of(near_plain_csv(), CSV_TEXT))
-    def test_matches_the_line_loop(self, text):
-        with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "e.csv"
-            path.write_text(text, newline="")
-            by_line = read_or_error(lambda: _embedding_rows_by_line(
-                read_text(path, "embedding csv"), path))
-            assert read_or_error(lambda: _load_embedding_csv(path)) == by_line
-
-    def test_plain_file_is_read_in_bulk(self):
-        text = ("id,camera,f0,f1\n9007199254740993,-1,0.1,-2.5e-3\n"
-                "9007199254740992,4, 7 ,1e300\n")
-        got = _bulk_embedding_rows(text)
-        assert got is not None
-        # as float64 both ids would be 2**53
-        assert got.ids.tolist() == [2 ** 53 + 1, 2 ** 53]
-        assert got.cameras.dtype == np.int64 and got.ids.dtype == np.int64
-        assert got.descriptors.tolist() == [[0.1, -2.5e-3], [7.0, 1e300]]
-
-    @pytest.mark.parametrize("text", [
-        "0,0,1.0\n\n1,0,2.0\n", "0,0,1.0\nid,camera,f0\n1,0,2.0\n",
-        "\ufeff0,0,1.0\n", "0,0,1_0\n", "0,0,nan\n", "0,0,1.0\n\n",
-        "id,camera,f0\n", "", "0,0\n", "0,0,1.0,2.0\n1,0,3.0\n",
-        f"{2 ** 63},0,1.0\n"],
-        ids=["blank_line", "second_header", "bom", "underscore", "nan",
-             "two_line_ends", "header_only", "empty", "no_descriptor",
-             "ragged", "past_int64"])
-    def test_other_files_go_to_the_line_loop(self, text):
-        assert _bulk_embedding_rows(text) is None
 
 
 def run_quietly(argv):

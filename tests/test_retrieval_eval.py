@@ -57,6 +57,33 @@ class TestEvaluate:
         assert got == sorted_evaluate(query, gallery, [1, 5, 10, 500], dist)
         assert got.num_valid_queries == 40
 
+    @staticmethod
+    def crowded_case(rng, ng):
+        """Queries of ids 0, 0 and 1 against a gallery that is four fifths
+        id 0 across two cameras, with tied integer distances."""
+        ids = (rng.random(ng) < 0.2).astype(np.int64)
+        gallery = make_set(np.zeros((ng, 1)), ids, rng.integers(0, 2, ng))
+        query = make_set(np.zeros((3, 1)), [0, 0, 1], [0, 1, 0])
+        return query, gallery, rng.integers(0, 40, (3, ng)).astype(float)
+
+    def test_many_positives_match_the_sorted_form(self):
+        query, gallery, dist = self.crowded_case(np.random.default_rng(5), 3000)
+        got = evaluate(query, gallery, ks=[1, 5, 100, 3000], dist=dist)
+        assert got == sorted_evaluate(query, gallery, [1, 5, 100, 3000], dist)
+        assert got.num_valid_queries == 3
+
+    def test_many_positives_use_memory_linear_in_the_gallery(self):
+        # one (positives, ng) boolean temporary would be about 1600 * 4000 bytes
+        query, gallery, dist = self.crowded_case(np.random.default_rng(6), 4000)
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            evaluate(query, gallery, ks=[1, 5], dist=dist)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - entry < 2_000_000
+
     def test_correct_first(self):
         query = make_set([[0.0, 0.0]], [1], [0])
         gallery = make_set([[0.1, 0.0], [5.0, 5.0]], [1, 2], [1, 1])
