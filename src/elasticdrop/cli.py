@@ -160,15 +160,17 @@ def _descriptor_sets(params: ModelParams, model_cfg: ModelConfig, samples
 def _evaluate_sets(query: RetrievalSet, gallery: RetrievalSet,
                    eval_cfg: EvalConfig) -> EvalMetrics:
     """Score ``query`` against ``gallery``, re-ranked when ``eval_cfg`` asks;
-    an empty query scores zeros. ``sq_dist_matrix`` raises NumericError when
-    finite descriptors overflow to an infinite distance."""
+    an empty query scores zeros. The query-gallery distances are computed
+    here, for plain scoring and for the re-rank's lambda mix; the re-rank
+    computes and frees its own query-query and gallery-gallery blocks.
+    ``sq_dist_matrix`` raises NumericError when finite descriptors overflow
+    to an infinite distance."""
     q, g = query.descriptors, gallery.descriptors
     dist = sq_dist_matrix(q, g)
     if eval_cfg.rerank and len(query):
         k1, k2 = clamped_rerank_params(len(query), len(gallery),
                                        eval_cfg.k1, eval_cfg.k2)
-        dist = k_reciprocal_rerank(dist, sq_dist_matrix(q, q),
-                                   sq_dist_matrix(g, g), k1=k1, k2=k2,
+        dist = k_reciprocal_rerank(dist, q, g, k1=k1, k2=k2,
                                    lambda_value=eval_cfg.lambda_value)
     return evaluate(query, gallery, ks=eval_cfg.ks, dist=dist)
 

@@ -37,14 +37,13 @@ class RetrievalSet:
             raise ShapeError(
                 f"RetrievalSet: descriptors {self.descriptors.shape}, ids "
                 f"{self.ids.shape}, cameras {self.cameras.shape} do not agree")
-        if not np.all(np.isfinite(self.descriptors)):
-            raise ValueError("RetrievalSet: descriptors must be finite")
 
     def __len__(self) -> int:
         return self.descriptors.shape[0]
 
 
-# perfbench/test_perfbench.py builds its sets through it (ROADMAP item 6)
+# an older name of RetrievalSet; perfbench/test_perfbench.py builds its sets
+# through it
 QuerySet = RetrievalSet
 
 
@@ -326,16 +325,21 @@ def _jaccard_mix(v: tuple[Array, Array, Array], q_g: Array,
     return out
 
 
-def k_reciprocal_rerank(q_g, q_q, g_g, k1: int = 20, k2: int = 6,
+def k_reciprocal_rerank(q_g, query, gallery, k1: int = 20, k2: int = 6,
                         lambda_value: float = 0.3) -> Array:
     """Refine query-gallery distances with k-reciprocal neighborhood encoding.
 
+    ``q_g`` is the (nq, ng) query-gallery distance block, ``query`` and
+    ``gallery`` the (nq, D) and (ng, D) descriptors it was computed from.
     Zhong et al. 2017 (arXiv:1701.08398), on the pooled n = nq + ng point
     set with distances normalized by their global maximum, the max of the
-    three blocks. Neither the pooled (n, n) matrix nor V is ever built, and
-    no step loops over points in Python: every pass runs on blocks of
-    ``_RERANK_BLOCK_ROWS`` rows, normalized rows are read straight from the
-    blocks, and V is kept sparse as one (indptr, columns, values) triple:
+    three blocks. The query-query and gallery-gallery blocks are computed
+    here, by ``sq_dist_matrix(x, x)``, which raises NumericError on a
+    non-finite descriptor. Neither the pooled (n, n) matrix nor V is ever
+    built, and no step loops over points in Python: every pass runs on
+    blocks of ``_RERANK_BLOCK_ROWS`` rows, normalized rows are read straight
+    from the three blocks, and V is kept sparse as one (indptr, columns,
+    values) triple:
 
     1. ranks: the first m = max(k1 + 1, k2) columns of each row's stable
        ascending order, from one ``np.partition`` per row block and one
@@ -348,7 +352,9 @@ def k_reciprocal_rerank(q_g, q_q, g_g, k1: int = 20, k2: int = 6,
        (rows, n) membership mask;
     3. sparse V[i] = normalized exp(-dist) over the expanded set (the point
        itself is always included), from a second pass over the row blocks;
-       each row's weights are divided by that row's own ``sum()``;
+       each row's weights are divided by that row's own ``sum()``. The
+       query-query and gallery-gallery blocks are freed here: no later step
+       reads them;
     4. local query expansion: V[i] replaced by the mean of the V rows of i's
        top-k2 neighbors, duplicate columns summed in neighbor order by one
        ``np.bincount`` per block of points (skipped for k2 <= 1);
@@ -360,27 +366,31 @@ def k_reciprocal_rerank(q_g, q_q, g_g, k1: int = 20, k2: int = 6,
     6. output lambda * original_q_g + (1 - lambda) * jaccard, written into
        each block of output rows as its Jaccard rows are made.
 
-    Memory beyond the three input blocks: the (n, m) ranks, two (n, k + 1)
-    masks, sparse V (the expanded rows, then their means, a few dozen
-    nonzeros per row) and the (nq, ng) result, plus per block of rows one
-    row block of n columns, an (n)-wide membership mask, the gathered
-    candidate sets and the block's index entries. Past the O(n^2) ranking,
-    the cost grows with the nonzeros of V rather than with n^2 per query.
-    ``tests/oracles.py`` keeps the per-point form as ``loop_rerank``, which
-    this matches bit for bit, and the dense form as ``dense_rerank``, which
-    it matches to the last bits, since the Jaccard sums run in another
-    order. The result does not depend on the row-block size. Raises
-    ConfigError on an empty gallery; an empty query set gives a (0, ng)
-    result.
+    Memory beyond ``q_g`` and the descriptors: the two self-distance blocks,
+    8 * (nq^2 + ng^2) bytes, through steps 1-3 only, beside the (n, m)
+    ranks, two (n, k + 1) masks and per block of rows one row block of n
+    columns, an (n)-wide membership mask and the gathered candidate sets.
+    Steps 4-6 hold the ranks, sparse V (the expanded rows, then their means,
+    a few dozen nonzeros per row), the (nq, ng) result and the block's index
+    entries, in the memory the self-distance blocks left. Past the O(n^2)
+    ranking, the cost grows with the nonzeros of V rather than with n^2 per
+    query. ``tests/oracles.py`` keeps the per-point form as ``loop_rerank``,
+    which this matches bit for bit, and the dense form as ``dense_rerank``,
+    which it matches to the last bits, since the Jaccard sums run in another
+    order; both take the three blocks. The result does not depend on the
+    row-block size. Raises ConfigError on an empty gallery; an empty query
+    set gives a (0, ng) result.
     """
     q_g = np.asarray(q_g, dtype=np.float64)
-    q_q = np.asarray(q_q, dtype=np.float64)
-    g_g = np.asarray(g_g, dtype=np.float64)
+    query = np.asarray(query, dtype=np.float64)
+    gallery = np.asarray(gallery, dtype=np.float64)
     nq, ng = q_g.shape if q_g.ndim == 2 else (-1, -1)
-    if nq < 0 or q_q.shape != (nq, nq) or g_g.shape != (ng, ng):
+    if (nq < 0 or query.ndim != 2 or gallery.ndim != 2
+            or query.shape[0] != nq or gallery.shape[0] != ng
+            or query.shape[1] != gallery.shape[1]):
         raise ShapeError(
-            f"k_reciprocal_rerank: blocks {q_g.shape}, {q_q.shape}, {g_g.shape} "
-            "do not assemble")
+            f"k_reciprocal_rerank: q_g {q_g.shape}, query {query.shape}, "
+            f"gallery {gallery.shape} do not agree")
     if ng == 0:
         raise ConfigError("k_reciprocal_rerank: gallery is empty")
     total = nq + ng
@@ -390,6 +400,7 @@ def k_reciprocal_rerank(q_g, q_q, g_g, k1: int = 20, k2: int = 6,
     if not 0.0 <= lambda_value <= 1.0:
         raise ConfigError(f"k_reciprocal_rerank: lambda {lambda_value} outside [0, 1]")
 
+    q_q, g_g = sq_dist_matrix(query, query), sq_dist_matrix(gallery, gallery)
     # np.max keeps a nan from any block, as the pooled matrix's max did
     peak = np.max([block.max() for block in (q_q, q_g, g_g) if block.size])
     m = max(k1 + 1, k2)
@@ -398,6 +409,8 @@ def k_reciprocal_rerank(q_g, q_q, g_g, k1: int = 20, k2: int = 6,
         rank[start:start + len(block)] = _partial_rank(block, m)
 
     v = _expanded_rows(q_q, q_g, g_g, peak, rank, k1)
+    # the query expansion and the Jaccard step reuse the blocks' memory
+    del q_q, g_g
     if k2 > 1:
         v = _mean_rows(v, rank, k2)
     del rank

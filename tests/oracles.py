@@ -8,7 +8,9 @@ branch) that ``model.forward_train`` factors through one shared resblock
 pass, ``dense_rerank`` keeps the dense-V re-ranking that
 ``retrieval_eval.k_reciprocal_rerank`` computes on sparse rows,
 ``loop_rerank`` keeps its per-point form (a Python pass per point or query
-where the package runs block passes), ``add_at_scatter`` keeps the ``np.add.at`` form of the metric loss's
+where the package runs block passes); the re-rank oracles take the three
+distance blocks, where the package takes the query-gallery block and the
+descriptors and computes the other two itself. ``add_at_scatter`` keeps the ``np.add.at`` form of the metric loss's
 gradient scatter, and ``oneshot_infer`` keeps the one pass over every image
 that ``model.infer`` runs in training-batch blocks. ``uniform_row_partition``
 and ``overlap_row_partition`` keep the two free functions that the fixed drop

@@ -153,8 +153,7 @@ def test_criterion_6_rerank_oracle():
         k1 = int(rng.integers(1, min(20, total - 1) + 1))
         k2 = int(rng.integers(1, min(6, total - 1) + 1))
         lam = float(rng.uniform(0.0, 1.0))
-        fast = k_reciprocal_rerank(sq_dist_matrix(q, g), sq_dist_matrix(q, q),
-                                   sq_dist_matrix(g, g), k1=k1, k2=k2,
+        fast = k_reciprocal_rerank(sq_dist_matrix(q, g), q, g, k1=k1, k2=k2,
                                    lambda_value=lam)
         ref = rerank_reference(sq_dist_matrix(q, g), sq_dist_matrix(q, q),
                                sq_dist_matrix(g, g), k1=k1, k2=k2,

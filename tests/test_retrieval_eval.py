@@ -1,5 +1,6 @@
 import re
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -238,26 +239,24 @@ class TestEvaluate:
 
 
 def random_rerank_instance(rng, max_n=20):
+    """Query and gallery descriptors of random sizes and width."""
     nq = int(rng.integers(2, max_n + 1))
     ng = int(rng.integers(2, max_n + 1))
     d = int(rng.integers(2, 6))
-    q = rng.normal(size=(nq, d))
-    g = rng.normal(size=(ng, d))
-    return (sq_dist_matrix(q, g), sq_dist_matrix(q, q), sq_dist_matrix(g, g),
-            nq, ng)
+    return rng.normal(size=(nq, d)), rng.normal(size=(ng, d))
 
 
 class TestKReciprocalRerank:
     def test_lambda_one_returns_original(self):
-        rng = np.random.default_rng(0)
-        q_g, q_q, g_g, nq, ng = random_rerank_instance(rng)
-        out = k_reciprocal_rerank(q_g, q_q, g_g, k1=4, k2=2, lambda_value=1.0)
+        q, g = random_rerank_instance(np.random.default_rng(0))
+        q_g = sq_dist_matrix(q, g)
+        out = k_reciprocal_rerank(q_g, q, g, k1=4, k2=2, lambda_value=1.0)
         assert np.array_equal(out, q_g)
 
     def test_identical_descriptors_all_equal(self):
         nq, ng = 4, 6
         q_g = np.zeros((nq, ng))
-        out = k_reciprocal_rerank(q_g, np.zeros((nq, nq)), np.zeros((ng, ng)),
+        out = k_reciprocal_rerank(q_g, np.zeros((nq, 3)), np.zeros((ng, 3)),
                                   k1=3, k2=2, lambda_value=0.3)
         assert np.allclose(out, out[0, 0])
         order = np.argsort(out[0], kind="stable")
@@ -266,43 +265,55 @@ class TestKReciprocalRerank:
     def test_matches_definition_oracle(self):
         rng = np.random.default_rng(77)
         for _ in range(20):
-            q_g, q_q, g_g, nq, ng = random_rerank_instance(rng, max_n=12)
-            k1 = int(rng.integers(1, min(20, nq + ng - 1) + 1))
-            k2 = int(rng.integers(1, min(6, nq + ng - 1) + 1))
-            fast = k_reciprocal_rerank(q_g, q_q, g_g, k1=k1, k2=k2,
-                                       lambda_value=0.3)
-            ref = rerank_reference(q_g, q_q, g_g, k1=k1, k2=k2,
+            args = rerank_blocks(*random_rerank_instance(rng, max_n=12))
+            total = len(args[1]) + len(args[2])
+            k1 = int(rng.integers(1, min(20, total - 1) + 1))
+            k2 = int(rng.integers(1, min(6, total - 1) + 1))
+            fast = k_reciprocal_rerank(*args, k1=k1, k2=k2, lambda_value=0.3)
+            ref = rerank_reference(*oracle_blocks(*args), k1=k1, k2=k2,
                                    lambda_value=0.3)
             assert np.abs(fast - ref).max() < 1e-9
 
     def test_k_out_of_range_rejected(self):
-        q_g, q_q, g_g = np.zeros((2, 3)), np.zeros((2, 2)), np.zeros((3, 3))
+        q_g, q, g = np.zeros((2, 3)), np.zeros((2, 2)), np.zeros((3, 2))
         with pytest.raises(ConfigError):
-            k_reciprocal_rerank(q_g, q_q, g_g, k1=5, k2=2)
+            k_reciprocal_rerank(q_g, q, g, k1=5, k2=2)
         with pytest.raises(ConfigError):
-            k_reciprocal_rerank(q_g, q_q, g_g, k1=2, k2=5)
+            k_reciprocal_rerank(q_g, q, g, k1=2, k2=5)
 
     @pytest.mark.parametrize("lam", [-0.1, 1.5, float("nan")])
     def test_lambda_outside_unit_interval_rejected(self, lam):
-        q_g, q_q, g_g = np.zeros((2, 3)), np.zeros((2, 2)), np.zeros((3, 3))
+        q_g, q, g = np.zeros((2, 3)), np.zeros((2, 2)), np.zeros((3, 2))
         with pytest.raises(ConfigError, match=re.escape("outside [0, 1]")):
-            k_reciprocal_rerank(q_g, q_q, g_g, k1=2, k2=1, lambda_value=lam)
+            k_reciprocal_rerank(q_g, q, g, k1=2, k2=1, lambda_value=lam)
 
     def test_inconsistent_blocks_rejected(self):
-        with pytest.raises(ShapeError):
-            k_reciprocal_rerank(np.zeros((2, 3)), np.zeros((2, 2)),
-                                np.zeros((4, 4)))
+        # gallery rows, query rows, descriptor widths, a 1-d query
+        for q_shape, g_shape in [((2, 2), (4, 2)), ((3, 2), (3, 2)),
+                                 ((2, 2), (3, 1)), ((2,), (3, 2))]:
+            with pytest.raises(ShapeError, match="do not agree"):
+                k_reciprocal_rerank(np.zeros((2, 3)), np.zeros(q_shape),
+                                    np.zeros(g_shape))
 
     def test_empty_gallery_rejected(self):
         with pytest.raises(ConfigError, match="gallery is empty"):
-            k_reciprocal_rerank(np.zeros((3, 0)), np.zeros((3, 3)),
-                                np.zeros((0, 0)), k1=1, k2=1)
+            k_reciprocal_rerank(np.zeros((3, 0)), np.zeros((3, 2)),
+                                np.zeros((0, 2)), k1=1, k2=1)
 
     def test_empty_query_gives_empty_result(self):
         g = np.arange(8.0).reshape(4, 2)
-        out = k_reciprocal_rerank(np.zeros((0, 4)), np.zeros((0, 0)),
-                                  sq_dist_matrix(g, g), k1=2, k2=2)
+        out = k_reciprocal_rerank(np.zeros((0, 4)), np.zeros((0, 2)), g,
+                                  k1=2, k2=2)
         assert out.shape == (0, 4) and out.dtype == np.float64
+
+    def test_overflowing_self_distance_raises(self):
+        # q_g does not vouch for the descriptors: the query-query distance
+        # of these finite descriptors overflows, and the kernel rejects it
+        q = np.array([[1e200], [-1e200]])
+        g = np.array([[0.0], [1.0], [2.0]])
+        with np.errstate(over="ignore"), pytest.raises(NumericError,
+                                                       match="must be finite"):
+            k_reciprocal_rerank(np.zeros((2, 3)), q, g, k1=2, k2=2)
 
     def test_improves_noisy_ranking(self):
         # clustered ids: re-ranking should not hurt mAP on an easy instance
@@ -319,13 +330,22 @@ class TestKReciprocalRerank:
         base = evaluate(make_set(q_desc, q_ids, q_cams),
                         make_set(g_desc, g_ids, g_cams), ks=[1])
         k1, k2 = clamped_rerank_params(12, 20, 20, 6)
-        dist = k_reciprocal_rerank(sq_dist_matrix(q_desc, g_desc),
-                                   sq_dist_matrix(q_desc, q_desc),
-                                   sq_dist_matrix(g_desc, g_desc),
-                                   k1=k1, k2=k2)
+        dist = k_reciprocal_rerank(sq_dist_matrix(q_desc, g_desc), q_desc,
+                                   g_desc, k1=k1, k2=k2)
         rr = evaluate(make_set(q_desc, q_ids, q_cams),
                       make_set(g_desc, g_ids, g_cams), ks=[1], dist=dist)
         assert rr.mAP >= base.mAP - 0.05
+
+
+def rerank_peak_bytes(args) -> int:
+    """tracemalloc's peak of one default re-rank call beyond its entry."""
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        k_reciprocal_rerank(*args, k1=20, k2=6)
+        return tracemalloc.get_traced_memory()[1] - entry
+    finally:
+        tracemalloc.stop()
 
 
 def clustered_sets(rng, nq=60, ng=180, n_ids=20, dim=8):
@@ -341,8 +361,21 @@ def clustered_sets(rng, nq=60, ng=180, n_ids=20, dim=8):
 
 
 def rerank_blocks(q_desc, g_desc):
-    return (sq_dist_matrix(q_desc, g_desc), sq_dist_matrix(q_desc, q_desc),
-            sq_dist_matrix(g_desc, g_desc))
+    """``k_reciprocal_rerank``'s arguments: the query-gallery block and the
+    descriptors."""
+    return sq_dist_matrix(q_desc, g_desc), q_desc, g_desc
+
+
+def oracle_blocks(q_g, q_desc, g_desc):
+    """The oracles' arguments for the same call: the query-gallery block as
+    given, and the query-query and gallery-gallery blocks of the
+    descriptors."""
+    return q_g, sq_dist_matrix(q_desc, q_desc), sq_dist_matrix(g_desc, g_desc)
+
+
+def self_block_bytes(query, gallery) -> int:
+    """Bytes of the two self-distance blocks the re-rank computes."""
+    return 8 * (len(query) ** 2 + len(gallery) ** 2)
 
 
 @st.composite
@@ -360,14 +393,15 @@ def integer_rerank_cases(draw):
 
 @st.composite
 def blocked_rerank_cases(draw):
-    """``integer_rerank_cases`` as distance blocks, with a nan at one entry
-    of one block in some cases, and a row-block size in [2, n)."""
+    """``integer_rerank_cases`` as re-rank arguments, with a nan at one entry
+    of the query-gallery block in some cases, and a row-block size in
+    [2, n). A nan descriptor raises instead, as
+    ``test_ties_nan_and_k2_edges`` checks."""
     q, g, k1, k2, lam = draw(integer_rerank_cases())
-    blocks = rerank_blocks(q, g)
+    args = rerank_blocks(q, g)
     if draw(st.booleans()):
-        block = blocks[draw(st.integers(0, 2))]
-        block.flat[draw(st.integers(0, block.size - 1))] = np.nan
-    return blocks, k1, k2, lam, draw(st.integers(2, len(q) + len(g) - 1))
+        args[0].flat[draw(st.integers(0, args[0].size - 1))] = np.nan
+    return args, k1, k2, lam, draw(st.integers(2, len(q) + len(g) - 1))
 
 
 class TestSparseRerank:
@@ -377,9 +411,10 @@ class TestSparseRerank:
     @pytest.mark.parametrize("lam", [0.0, 0.3, 1.0])
     def test_matches_dense_oracle_on_clustered_data(self, lam):
         query, gallery = clustered_sets(np.random.default_rng(11))
-        blocks = rerank_blocks(query.descriptors, gallery.descriptors)
-        fast = k_reciprocal_rerank(*blocks, k1=20, k2=6, lambda_value=lam)
-        dense = dense_rerank(*blocks, k1=20, k2=6, lambda_value=lam)
+        args = rerank_blocks(query.descriptors, gallery.descriptors)
+        fast = k_reciprocal_rerank(*args, k1=20, k2=6, lambda_value=lam)
+        dense = dense_rerank(*oracle_blocks(*args), k1=20, k2=6,
+                             lambda_value=lam)
         assert np.abs(fast - dense).max() < 1e-12
         assert (evaluate(query, gallery, ks=[1, 5, 10], dist=fast).to_dict()
                 == evaluate(query, gallery, ks=[1, 5, 10], dist=dense).to_dict())
@@ -393,18 +428,20 @@ class TestSparseRerank:
         rng = np.random.default_rng(5)
         q = rng.integers(0, values, size=(12, 2)).astype(float)
         g = rng.integers(0, values, size=(28, 2)).astype(float)
-        blocks = rerank_blocks(q, g)
-        fast = k_reciprocal_rerank(*blocks, k1=k1, k2=k2, lambda_value=0.3)
-        ref = rerank_reference(*blocks, k1=k1, k2=k2, lambda_value=0.3)
+        args = rerank_blocks(q, g)
+        fast = k_reciprocal_rerank(*args, k1=k1, k2=k2, lambda_value=0.3)
+        ref = rerank_reference(*oracle_blocks(*args), k1=k1, k2=k2,
+                               lambda_value=0.3)
         assert np.abs(fast - ref).max() < 1e-9
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=200)
     @given(integer_rerank_cases())
     def test_matches_definition_property(self, case):
         q, g, k1, k2, lam = case
-        blocks = rerank_blocks(q, g)
-        fast = k_reciprocal_rerank(*blocks, k1=k1, k2=k2, lambda_value=lam)
-        ref = rerank_reference(*blocks, k1=k1, k2=k2, lambda_value=lam)
+        args = rerank_blocks(q, g)
+        fast = k_reciprocal_rerank(*args, k1=k1, k2=k2, lambda_value=lam)
+        ref = rerank_reference(*oracle_blocks(*args), k1=k1, k2=k2,
+                               lambda_value=lam)
         assert np.abs(fast - ref).max() < 1e-9
 
 
@@ -414,35 +451,31 @@ class TestStreamedRows:
     @settings(derandomize=True, database=None, deadline=None, max_examples=150)
     @given(blocked_rerank_cases())
     def test_block_size_does_not_change_the_result(self, case):
-        blocks, k1, k2, lam, drawn = case
-        n = len(blocks[1]) + len(blocks[2])
+        args, k1, k2, lam, drawn = case
+        n = len(args[1]) + len(args[2])
         outs = []
         for size in (1, drawn, n):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(retrieval_eval, "_RERANK_BLOCK_ROWS", size)
-                outs.append(k_reciprocal_rerank(*blocks, k1=k1, k2=k2,
+                outs.append(k_reciprocal_rerank(*args, k1=k1, k2=k2,
                                                 lambda_value=lam))
         assert all(out.tobytes() == outs[0].tobytes() for out in outs)
         # the dense form normalizes by the pooled matrix's max, so a nan in
-        # any block leaves every distance unscaled there too
+        # q_g leaves every distance unscaled there too
         np.testing.assert_allclose(
-            outs[0], dense_rerank(*blocks, k1=k1, k2=k2, lambda_value=lam),
+            outs[0], dense_rerank(*oracle_blocks(*args), k1=k1, k2=k2,
+                                  lambda_value=lam),
             rtol=0, atol=1e-12)
 
     def test_memory_below_one_pooled_matrix(self):
-        # the bound is one pooled (n, n) float64 matrix, never built whole
+        # the bound is one pooled (n, n) float64 matrix, never built whole,
+        # beyond the two self-distance blocks the call makes as its inputs
         query, gallery = clustered_sets(np.random.default_rng(21), nq=250,
                                         ng=750)
-        blocks = rerank_blocks(query.descriptors, gallery.descriptors)
+        args = rerank_blocks(query.descriptors, gallery.descriptors)
         n = len(query) + len(gallery)
-        tracemalloc.start()
-        try:
-            entry = tracemalloc.get_traced_memory()[0]
-            k_reciprocal_rerank(*blocks, k1=20, k2=6)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak - entry < 8 * n * n
+        peak = rerank_peak_bytes(args)
+        assert peak - self_block_bytes(query, gallery) < 8 * n * n
 
 
 class TestBlockedRerank:
@@ -450,21 +483,22 @@ class TestBlockedRerank:
     bit, at every row-block size."""
 
     @staticmethod
-    def assert_matches_loop(blocks, k1, k2, lam, sizes):
-        ref = loop_rerank(*blocks, k1=k1, k2=k2, lambda_value=lam).tobytes()
+    def assert_matches_loop(args, k1, k2, lam, sizes):
+        ref = loop_rerank(*oracle_blocks(*args), k1=k1, k2=k2,
+                          lambda_value=lam).tobytes()
         for size in sizes:
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(retrieval_eval, "_RERANK_BLOCK_ROWS", size)
-                out = k_reciprocal_rerank(*blocks, k1=k1, k2=k2,
+                out = k_reciprocal_rerank(*args, k1=k1, k2=k2,
                                           lambda_value=lam)
             assert out.tobytes() == ref, size
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=200)
     @given(blocked_rerank_cases())
     def test_matches_the_per_point_form(self, case):
-        blocks, k1, k2, lam, drawn = case
-        n = len(blocks[1]) + len(blocks[2])
-        self.assert_matches_loop(blocks, k1, k2, lam, (1, drawn, n))
+        args, k1, k2, lam, drawn = case
+        n = len(args[1]) + len(args[2])
+        self.assert_matches_loop(args, k1, k2, lam, (1, drawn, n))
 
     @pytest.mark.parametrize("values, k1, k2", [
         (3, 1, 5), (3, 3, 8), (3, 6, 20), (1, 5, 10), (3, 4, 1), (1, 7, 1)],
@@ -472,36 +506,72 @@ class TestBlockedRerank:
     @pytest.mark.parametrize("nan_block", [None, 0, 1, 2])
     def test_ties_nan_and_k2_edges(self, values, k1, k2, nan_block):
         # integer descriptors below ``values`` (all zero for 1) tie; k2 = 1
-        # skips the query expansion, k2 > k1 + 1 reads ranks past R(i, k1);
-        # a nan in one block leaves every distance unscaled
+        # skips the query expansion, k2 > k1 + 1 reads ranks past R(i, k1).
+        # nan_block indexes the arguments (q_g, query, gallery): a nan in q_g
+        # leaves every distance unscaled, a nan descriptor raises, since its
+        # self-distance block would hold a nan
         rng = np.random.default_rng(8)
         q = rng.integers(0, values, size=(12, 2)).astype(float)
         g = rng.integers(0, values, size=(28, 2)).astype(float)
-        blocks = rerank_blocks(q, g)
+        args = rerank_blocks(q, g)
         if nan_block is not None:
-            blocks[nan_block][1, 2] = np.nan
-        self.assert_matches_loop(blocks, k1, k2, 0.3, (1, 7, 40))
+            args[nan_block][1, 1] = np.nan
+        if nan_block in (1, 2):
+            with pytest.raises(NumericError, match="must be finite"):
+                k_reciprocal_rerank(*args, k1=k1, k2=k2, lambda_value=0.3)
+            return
+        self.assert_matches_loop(args, k1, k2, 0.3, (1, 7, 40))
 
     @pytest.mark.parametrize("lam", [0.0, 0.3, 1.0])
     def test_matches_on_clustered_data(self, lam):
         query, gallery = clustered_sets(np.random.default_rng(11))
-        blocks = rerank_blocks(query.descriptors, gallery.descriptors)
-        self.assert_matches_loop(blocks, 20, 6, lam, (1, 16, 64, 240))
+        args = rerank_blocks(query.descriptors, gallery.descriptors)
+        self.assert_matches_loop(args, 20, 6, lam, (1, 16, 64, 240))
 
     def test_memory_below_the_per_point_form(self):
-        # the per-point form peaked at 4.53 MB here; 5 MB pins the block
-        # passes' temporaries below one pooled matrix's 8 MB by a margin
+        # the per-point form peaked at 4.53 MB here beyond its input blocks;
+        # 5 MB pins the block passes' temporaries below one pooled matrix's
+        # 8 MB by a margin
         query, gallery = clustered_sets(np.random.default_rng(21), nq=250,
                                         ng=750)
-        blocks = rerank_blocks(query.descriptors, gallery.descriptors)
-        tracemalloc.start()
-        try:
-            entry = tracemalloc.get_traced_memory()[0]
-            k_reciprocal_rerank(*blocks, k1=20, k2=6)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak - entry < 5_000_000
+        args = rerank_blocks(query.descriptors, gallery.descriptors)
+        peak = rerank_peak_bytes(args)
+        assert peak - self_block_bytes(query, gallery) < 5_000_000
+
+    def test_memory_beyond_the_self_blocks(self):
+        # the self-distance blocks are freed before the query expansion and
+        # the Jaccard step, which then fit in their memory: 0.97 MB beyond
+        # them here, against 4.17 MB while both blocks stayed alive
+        query, gallery = clustered_sets(np.random.default_rng(21), nq=250,
+                                        ng=750)
+        args = rerank_blocks(query.descriptors, gallery.descriptors)
+        peak = rerank_peak_bytes(args)
+        assert peak - self_block_bytes(query, gallery) < 2_000_000
+
+    @pytest.mark.parametrize("k2, step", [(6, "_mean_rows"), (1, "_jaccard_mix")])
+    def test_self_blocks_freed_before_the_later_steps(self, k2, step):
+        # k2 = 1 skips the query expansion, so the Jaccard step comes first
+        q, g = random_rerank_instance(np.random.default_rng(9))
+        original = retrieval_eval.sq_dist_matrix
+        self_blocks, alive_at_entry = [], []
+
+        def tracking_sq_dist_matrix(a, b):
+            out = original(a, b)
+            if b is a:
+                self_blocks.append(weakref.ref(out))
+            return out
+
+        def entered(*args, **kwargs):
+            alive_at_entry.append([ref() is not None for ref in self_blocks])
+            return real_step(*args, **kwargs)
+
+        real_step = getattr(retrieval_eval, step)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(retrieval_eval, "sq_dist_matrix", tracking_sq_dist_matrix)
+            mp.setattr(retrieval_eval, step, entered)
+            k_reciprocal_rerank(*rerank_blocks(q, g), k1=4, k2=k2)
+        assert len(self_blocks) == 2
+        assert alive_at_entry == [[False, False]]
 
 
 class TestClampedParams:
@@ -516,9 +586,15 @@ class TestRetrievalSet:
             RetrievalSet(np.zeros((2, 3)), np.zeros(3, int), np.zeros(2, int))
 
     def test_finite_validation(self):
-        with pytest.raises(ValueError):
-            RetrievalSet(np.array([[np.nan]]), np.zeros(1, int),
-                         np.zeros(1, int))
+        # the set holds what it is given; the distance kernel rejects a
+        # non-finite descriptor on every path that reads one
+        bad = make_set([[0.0], [np.nan], [1.0]], [0, 1, 1], [0, 0, 0])
+        good = make_set([[0.0], [1.0], [2.0]], [0, 1, 1], [1, 1, 1])
+        with pytest.raises(NumericError, match="must be finite"):
+            evaluate(good, bad)
+        with pytest.raises(NumericError, match="must be finite"):
+            k_reciprocal_rerank(np.zeros((3, 3)), good.descriptors,
+                                bad.descriptors, k1=2, k2=2)
 
 
 class TestEvalMetrics:
