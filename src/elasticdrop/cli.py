@@ -32,8 +32,8 @@ from .dropmask import (BatchDropBlock, BatchDropout, DropBlock, ElementDropout,
 from .errors import ConfigError, NumericError, check_array_bytes, read_text
 from .gradcheck import run_gradient_checks
 from .model import (ModelConfig, ModelParams, check_fields, config_from_dict,
-                    config_to_dict, infer, load_checkpoint, save_checkpoint,
-                    train)
+                    config_to_dict, from_fields, infer, load_checkpoint,
+                    save_checkpoint, train)
 from .retrieval_eval import (EvalMetrics, RetrievalSet, clamped_rerank_params,
                              evaluate, k_reciprocal_rerank)
 from .elastic_loss import sq_dist_matrix
@@ -82,9 +82,7 @@ def run_config_from_dict(doc: dict) -> RunConfig:
     equal the branch count that scheme defines.
     """
     check_fields(RunConfig, doc, "run config")
-    data_doc = doc.get("data", {})
-    check_fields(SynthConfig, data_doc, "config section 'data'")
-    data = SynthConfig(**data_doc)
+    data = from_fields(SynthConfig, doc.get("data", {}), "config section 'data'")
 
     model_doc = doc.get("model", {})
     branches = None
@@ -106,10 +104,7 @@ def run_config_from_dict(doc: dict) -> RunConfig:
             f"config section 'model': branches={branches!r} disagrees with "
             f"the drop scheme's {model.scheme_branches} branches")
 
-    eval_doc = doc.get("eval", {})
-    check_fields(EvalConfig, eval_doc, "config section 'eval'")
-    eval_cfg = EvalConfig(**{**eval_doc,
-                             "ks": tuple(eval_doc.get("ks", EvalConfig.ks))})
+    eval_cfg = from_fields(EvalConfig, doc.get("eval", {}), "config section 'eval'")
     return RunConfig(data=data, model=model, eval=eval_cfg,
                      output_dir=doc.get("output_dir", "runs/out"))
 

@@ -479,6 +479,21 @@ def check_fields(cls, doc, where: str) -> None:
                               f"got {value!r}")
 
 
+def from_fields(cls, doc, where: str):
+    """``cls(**doc)`` after ``check_fields``: a json list becomes a tuple for
+    a tuple field, a drop scheme is built by ``scheme_from_dict``, and the
+    constructor's ``TypeError`` (a missing argument) becomes a ConfigError."""
+    check_fields(cls, doc, where)
+    hints = typing.get_type_hints(cls)
+    kwargs = {key: tuple(value) if typing.get_origin(hints[key]) is tuple
+              else scheme_from_dict(value) if hints[key] == DropStrategyKind
+              else value for key, value in doc.items()}
+    try:
+        return cls(**kwargs)
+    except TypeError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
 def scheme_to_dict(scheme: DropStrategyKind) -> dict:
     for kind, cls in DROP_SCHEMES.items():
         if type(scheme) is cls:
@@ -496,28 +511,16 @@ def scheme_from_dict(d: dict) -> DropStrategyKind:
             f"unknown drop_scheme kind {kind!r}; expected one of "
             f"{sorted(DROP_SCHEMES)}")
     kwargs = {k: v for k, v in d.items() if k != "kind"}
-    check_fields(DROP_SCHEMES[kind], kwargs, f"drop_scheme {kind!r}")
-    try:
-        return DROP_SCHEMES[kind](**kwargs)
-    except TypeError as exc:
-        raise ConfigError(f"drop_scheme {kind!r}: {exc}") from exc
+    return from_fields(DROP_SCHEMES[kind], kwargs, f"drop_scheme {kind!r}")
 
 
 def config_to_dict(config: ModelConfig) -> dict:
-    d = {f.name: getattr(config, f.name) for f in fields(ModelConfig)}
-    d["drop_scheme"] = scheme_to_dict(config.drop_scheme)
-    d["decay_epochs"] = list(config.decay_epochs)
-    return d
+    return {**asdict(config), "drop_scheme": scheme_to_dict(config.drop_scheme),
+            "decay_epochs": list(config.decay_epochs)}
 
 
 def config_from_dict(d: dict) -> ModelConfig:
-    check_fields(ModelConfig, d, "model config")
-    kwargs = dict(d)
-    if "drop_scheme" in kwargs:
-        kwargs["drop_scheme"] = scheme_from_dict(kwargs["drop_scheme"])
-    if "decay_epochs" in kwargs:
-        kwargs["decay_epochs"] = tuple(kwargs["decay_epochs"])
-    return ModelConfig(**kwargs)
+    return from_fields(ModelConfig, d, "model config")
 
 
 def save_checkpoint(path, params: ModelParams, config: ModelConfig,

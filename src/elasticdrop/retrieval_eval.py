@@ -131,10 +131,11 @@ def evaluate(query: RetrievalSet, gallery: RetrievalSet, ks=(1, 5, 10),
 
 
 # Rows that every pass of ``k_reciprocal_rerank`` holds at once: of the pooled
-# (n, n) distance matrix, of the ranks, of sparse V and of the result. At 16,
-# a row block of 1800 points is 230 KB and the Jaccard step's index entries
-# for 16 queries stay near 0.3 MB an array; at 64 the re-rank's tracemalloc
-# peak at n = 1800 rose from 8.8 to 12.7 MB, for no gain in speed.
+# (n, n) distance matrix, of the ranks, of sparse V and of the result. The
+# re-rank peaks in steps 1-3, beside the self-distance blocks. At n = 1800,
+# tracemalloc puts that peak at 17.9, 18.2 and 19.1 MB above the call's start
+# for 16, 32 and 64 rows, and the Jaccard step's, which grows fastest with
+# the rows, at 10.6, 12.8 and 17.1 MB; the time is the same within noise.
 _RERANK_BLOCK_ROWS = 16
 
 
@@ -294,7 +295,6 @@ def _jaccard_mix(v: tuple[Array, Array, Array], q_g: Array,
     g_rows = np.repeat(np.arange(ng), np.diff(indptr[nq:]))[by_col]
     g_vals = vals[indptr[nq]:][by_col]
     starts = np.searchsorted(cols[indptr[nq]:][by_col], np.arange(nq + ng + 1))
-    del by_col
 
     out = np.empty((nq, ng))
     for start, stop in _row_blocks(nq):
@@ -304,24 +304,14 @@ def _jaccard_mix(v: tuple[Array, Array, Array], q_g: Array,
         # index entries of each query column: one run of counts[t] from lo[t]
         hit = _runs(lo, counts)
         query = np.repeat(np.arange(stop - start), np.diff(indptr[start:stop + 1]))
-        # in place where it can be: these arrays set the re-rank's peak memory
-        keys = np.repeat(query, counts)
-        keys *= ng
-        keys += g_rows[hit]
-        weights = np.repeat(q_vals, counts)
-        np.minimum(weights, g_vals[hit], out=weights)
-        del hit
+        keys = np.repeat(query, counts) * ng + g_rows[hit]
+        weights = np.minimum(np.repeat(q_vals, counts), g_vals[hit])
         mins = np.bincount(keys, weights=weights, minlength=(stop - start) * ng
                            ).reshape(stop - start, ng)
-        del keys, weights
-        maxs = sums[start:stop, None] + sums[nq:]
-        maxs -= mins
+        maxs = sums[start:stop, None] + sums[nq:] - mins
         ratio = np.divide(mins, maxs, out=np.zeros(maxs.shape), where=maxs > 0)
-        del mins, maxs
-        # lambda * q_g + (1 - lambda) * (1 - ratio): the same products and sums
-        np.subtract(1.0, ratio, out=ratio)
-        np.multiply(1.0 - lambda_value, ratio, out=out[start:stop])
-        out[start:stop] += lambda_value * q_g[start:stop]
+        out[start:stop] = ((1.0 - lambda_value) * (1.0 - ratio)
+                           + lambda_value * q_g[start:stop])
     return out
 
 
@@ -366,20 +356,21 @@ def k_reciprocal_rerank(q_g, query, gallery, k1: int = 20, k2: int = 6,
     6. output lambda * original_q_g + (1 - lambda) * jaccard, written into
        each block of output rows as its Jaccard rows are made.
 
-    Memory beyond ``q_g`` and the descriptors: the two self-distance blocks,
-    8 * (nq^2 + ng^2) bytes, through steps 1-3 only, beside the (n, m)
-    ranks, two (n, k + 1) masks and per block of rows one row block of n
-    columns, an (n)-wide membership mask and the gathered candidate sets.
-    Steps 4-6 hold the ranks, sparse V (the expanded rows, then their means,
-    a few dozen nonzeros per row), the (nq, ng) result and the block's index
-    entries, in the memory the self-distance blocks left. Past the O(n^2)
-    ranking, the cost grows with the nonzeros of V rather than with n^2 per
-    query. ``tests/oracles.py`` keeps the per-point form as ``loop_rerank``,
-    which this matches bit for bit, and the dense form as ``dense_rerank``,
-    which it matches to the last bits, since the Jaccard sums run in another
-    order; both take the three blocks. The result does not depend on the
-    row-block size. Raises ConfigError on an empty gallery; an empty query
-    set gives a (0, ng) result.
+    Memory beyond ``q_g`` and the descriptors peaks in steps 1-3: the two
+    self-distance blocks, 8 * (nq^2 + ng^2) bytes, beside the (n, m) ranks,
+    two (n, k + 1) masks and per block of rows one row block of n columns,
+    an (n)-wide membership mask and the gathered candidate sets. Steps 4-6
+    start after the self-distance blocks are freed and stay below that
+    peak: they hold the ranks, sparse V (the expanded rows, then their
+    means, a few dozen nonzeros per row), the (nq, ng) result and one
+    block's index entries. Past the O(n^2) ranking, the cost grows with the
+    nonzeros of V rather than with n^2 per query. ``tests/oracles.py`` keeps
+    the per-point form as ``loop_rerank``, which this matches bit for bit,
+    and the dense form as ``dense_rerank``, which it matches to the last
+    bits, since the Jaccard sums run in another order; both take the three
+    blocks. The result does not depend on the row-block size. Raises
+    ConfigError on an empty gallery; an empty query set gives a (0, ng)
+    result.
     """
     q_g = np.asarray(q_g, dtype=np.float64)
     query = np.asarray(query, dtype=np.float64)
@@ -413,7 +404,6 @@ def k_reciprocal_rerank(q_g, query, gallery, k1: int = 20, k2: int = 6,
     del q_q, g_g
     if k2 > 1:
         v = _mean_rows(v, rank, k2)
-    del rank
     return _jaccard_mix(v, q_g, lambda_value)
 
 

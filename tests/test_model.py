@@ -769,6 +769,17 @@ class TestConfigSerialization:
         with pytest.raises(ConfigError):
             scheme_from_dict({"kind": "mystery"})
 
+    @pytest.mark.parametrize("doc, missing", [
+        ({"kind": "uniform"}, "UniformRowDrop.__init__() missing 1 required "
+                              "positional argument: 'm'"),
+        ({"kind": "dropblock", "block_h": 2}, "DropBlock.__init__() missing 1 "
+                                              "required positional argument: "
+                                              "'block_w'")])
+    def test_scheme_missing_argument_names_the_scheme(self, doc, missing):
+        with pytest.raises(ConfigError) as info:
+            scheme_from_dict(doc)
+        assert str(info.value) == f"drop_scheme {doc['kind']!r}: {missing}"
+
     def test_scheme_extra_key_rejected(self):
         with pytest.raises(ConfigError):
             scheme_from_dict({"kind": "uniform", "m": 2, "x": 1})

@@ -548,6 +548,42 @@ class TestBlockedRerank:
         peak = rerank_peak_bytes(args)
         assert peak - self_block_bytes(query, gallery) < 2_000_000
 
+    def test_later_steps_peak_below_steps_1_to_3(self):
+        # the re-rank peaks in steps 1-3, beside the 5.0 MB of self-distance
+        # blocks: 5.97 MB here. Each later step, traced from its own entry,
+        # stays below that: 1.66 MB in the query expansion, 4.32 MB in the
+        # Jaccard step
+        query, gallery = clustered_sets(np.random.default_rng(21), nq=250,
+                                        ng=750)
+        args = rerank_blocks(query.descriptors, gallery.descriptors)
+        peaks_before, step_peaks = [], {}
+
+        def traced(name):
+            real_step = getattr(retrieval_eval, name)
+
+            def step(*step_args, **kwargs):
+                entry, peak = tracemalloc.get_traced_memory()
+                peaks_before.append(peak)
+                tracemalloc.reset_peak()
+                out = real_step(*step_args, **kwargs)
+                step_peaks[name] = tracemalloc.get_traced_memory()[1] - entry
+                return out
+            return step
+
+        with pytest.MonkeyPatch.context() as mp:
+            for name in ("_mean_rows", "_jaccard_mix"):
+                mp.setattr(retrieval_eval, name, traced(name))
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                k_reciprocal_rerank(*args, k1=20, k2=6)
+            finally:
+                tracemalloc.stop()
+        first_steps = peaks_before[0] - start
+        assert first_steps > self_block_bytes(query, gallery)
+        assert step_peaks["_mean_rows"] < first_steps
+        assert step_peaks["_jaccard_mix"] < first_steps
+
     @pytest.mark.parametrize("k2, step", [(6, "_mean_rows"), (1, "_jaccard_mix")])
     def test_self_blocks_freed_before_the_later_steps(self, k2, step):
         # k2 = 1 skips the query expansion, so the Jaccard step comes first
